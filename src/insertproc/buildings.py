@@ -17,8 +17,34 @@ weights and the reduced count ``R`` obeys
 
 with ``R(empty) = 1`` and the same boundary convention.  Everything here
 is exact: weights with common denominator ``D`` are scaled to integers and
-the recurrences run over scaled integer values (``B * D^(2n-2)`` and
+the kernels return scaled integer values (``B * D^(2n-2)`` and
 ``R * D^(n-1)`` for words of length ``n``).
+
+Two exact kernels serve two call patterns:
+
+* **One word** (:func:`building_count`, :func:`reduced_count` and the gap
+  sums of :mod:`insertproc.dependence`) runs the *first-arrival interval
+  DP*.  Frame the word as ``s = ⊥ x ⊥`` with absent-flank sentinels at
+  positions ``0`` and ``n+1``.  The first arrival ``p`` strictly inside an
+  interval ``(i, j)`` whose flanks are present links to both flanks and
+  splits the interval into two sides built independently, whose arrivals
+  interleave in ``C(j-i-2, p-i-1)`` ways::
+
+      F(i, i+1) = 1
+      F(i, j)   = sum_p C(j-i-2, p-i-1) a(i,p) a(p,j) F(i,p) F(p,j)
+
+  where ``a`` is the scaled pair weight, ``D`` at a sentinel, and for
+  ``R`` also ``D`` on consecutive pairs.  Then
+  ``B D^(2n-2) = F(0,n+1) / D^2`` and ``R D^(n-1) = F(0,n+1) / D^(n+1)``,
+  both exact.  This costs O(n^3) integer operations and keeps no state
+  between calls, so a cold word of length 60 costs milliseconds.
+* **Every word of a length** (the marginals and exact sampler of
+  :mod:`insertproc.process`, the consistency and k-dependence sweeps) runs
+  the deletion recurrence, memoized per graph on subwords.  In a sweep
+  every child of a word was already counted, so each word costs O(n)
+  cache lookups; the interval DP would redo O(n^3) work per word and is
+  measurably slower there.  On a single cold word the memo touches up to
+  ``2^n`` subwords, which is why single words do not use it.
 """
 
 from __future__ import annotations
@@ -28,7 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
+from operator import index, mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,11 +91,23 @@ _BRUTEFORCE_MAX_LEN = 8
 
 
 def _as_word(g: WeightedGraph, word: Sequence[int]) -> Word:
-    w = tuple(word)
-    for s in w:
-        if not isinstance(s, int) or not (0 <= s < g.vertex_count):
+    """Validate a word and return it as a tuple of plain ``int`` vertices.
+
+    Any integer type, numpy integers included, is accepted through
+    ``operator.index``; bools are rejected rather than read as 0 and 1.
+    """
+    out = []
+    for s in word:
+        if isinstance(s, (bool, np.bool_)):
+            raise ValueError(f"symbol {s!r} is a bool, not a vertex")
+        try:
+            v = index(s)
+        except TypeError:
+            raise ValueError(f"symbol {s!r} is not an integer vertex") from None
+        if not 0 <= v < g.vertex_count:
             raise ValueError(f"symbol {s!r} outside the vertex set")
-    return w
+        out.append(v)
+    return tuple(out)
 
 
 def _as_order(order: Sequence[int], n: int) -> BuildOrder:
@@ -177,7 +216,7 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int],
 
 
 def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
-    """Reduced count scaled by ``D^(len-1)``; exact integer."""
+    """Reduced count scaled by ``D^(len-1)``; the memoized sweep kernel."""
     m = len(w)
     if m <= 1:
         return 1
@@ -204,7 +243,7 @@ def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
 
 
 def _scaled_building(g: WeightedGraph, w: Word) -> int:
-    """Building count scaled by ``D^(2*len-2)``; exact integer."""
+    """Building count scaled by ``D^(2*len-2)``; the memoized sweep kernel."""
     m = len(w)
     if m <= 1:
         return 1
@@ -230,20 +269,62 @@ def _scaled_building(g: WeightedGraph, w: Word) -> int:
     return v
 
 
+def _interval_scaled(g: WeightedGraph, w: Word, reduced: bool = False) -> int:
+    """One word's scaled count by the first-arrival interval DP.
+
+    Returns ``B * D^(2n-2)``, or with ``reduced`` ``R * D^(n-1)``; exact,
+    O(n^3) integer operations, and no memo.  Over the framed word
+    ``⊥ w ⊥`` it fills ``H(i, j) = a(i, j) F(i, j)``, the interval with
+    its closing link, so ``F(i, j) = sum_p C(j-i-2, p-i-1) H(i, p) H(p, j)``.
+    """
+    n = len(w)
+    if n <= 1:
+        return 1
+    num = g._num
+    den = g._den
+    last = n + 1
+
+    def link(i: int, j: int) -> int:
+        if i == 0 or j == last or (reduced and j == i + 1):
+            return den
+        return num[w[i - 1]][w[j - 1]]
+
+    # rows[i][j] and cols[j][i] both hold H(i, j), so that the sum over p
+    # runs over two contiguous slices
+    rows = [[0] * (last + 1) for _ in range(last + 1)]
+    cols = [[0] * (last + 1) for _ in range(last + 1)]
+    binoms = [[comb(m, t) for t in range(m + 1)] for m in range(n)]
+
+    def inside(i: int, j: int) -> int:
+        return sum(map(mul, map(mul, binoms[j - i - 2], rows[i][i + 1:j]),
+                       cols[j][i + 1:j]))
+
+    for i in range(last):
+        rows[i][i + 1] = cols[i + 1][i] = link(i, i + 1)
+    for d in range(2, last):
+        for i in range(last + 1 - d):
+            j = i + d
+            a = link(i, j)
+            if a:
+                rows[i][j] = cols[j][i] = a * inside(i, j)
+    return inside(0, last) // (den ** (n + 1) if reduced else den * den)
+
+
 def reduced_count(g: WeightedGraph, word: Sequence[int]) -> Fraction:
-    """Reduced building count; exact, memoized on subwords per graph."""
+    """Reduced building count; exact, by the first-arrival interval DP."""
     w = _as_word(g, word)
     if len(w) == 0:
         return Fraction(1)
-    return Fraction(_scaled_reduced(g, w), g._den ** (len(w) - 1))
+    return Fraction(_interval_scaled(g, w, reduced=True),
+                    g._den ** (len(w) - 1))
 
 
 def building_count(g: WeightedGraph, word: Sequence[int]) -> Fraction:
-    """Building count via the deletion recurrence; exact, memoized per graph."""
+    """Building count; exact, by the first-arrival interval DP."""
     w = _as_word(g, word)
     if len(w) <= 1:
         return Fraction(1)
-    return Fraction(_scaled_building(g, w), g._den ** (2 * len(w) - 2))
+    return Fraction(_interval_scaled(g, w), g._den ** (2 * len(w) - 2))
 
 
 def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:

@@ -20,13 +20,12 @@ on any platform; each probability is realized to within ``2**-64``.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-from scipy.stats import chi2 as _chi2
 
 from .buildings import Word, BuildOrder, positive_words, _scaled_building
 from .graphs import WeightedGraph
@@ -266,6 +265,33 @@ def insertion_marginal_gap(g: WeightedGraph, n: int) -> Fraction:
     return diff / 2
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Survival function of chi-square with integer ``df`` degrees of freedom.
+
+    Closed forms with ``h = x/2``: for even ``df = 2m`` the Poisson tail
+    ``sum_{i<m} e^-h h^i / i!``; for odd ``df = 2m+1``
+    ``erfc(sqrt h) + sum_{i=1..m} e^-h h^(i-1/2) / Gamma(i+1/2)``.  Every
+    term is positive, and each is taken through its logarithm so that
+    ``e^-h`` may underflow while the term does not.  ``df < 1`` gives NaN,
+    as in ``scipy.stats.chi2.sf``.
+    """
+    if df < 1 or math.isnan(x):
+        return math.nan
+    if x <= 0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    h = x / 2
+    log_h = math.log(h)
+    if df % 2 == 0:
+        return min(1.0, math.fsum(math.exp(i * log_h - h - math.lgamma(i + 1))
+                                  for i in range(df // 2)))
+    terms = [math.erfc(math.sqrt(h))]
+    terms.extend(math.exp((i - 0.5) * log_h - h - math.lgamma(i + 0.5))
+                 for i in range(1, df // 2 + 1))
+    return min(1.0, math.fsum(terms))
+
+
 @dataclass(frozen=True)
 class GapIndependenceResult:
     """Chi-square test of a symbol pair against the product of exact marginals."""
@@ -318,5 +344,5 @@ def empirical_gap_independence(batch: SampleBatch, gap: int) -> GapIndependenceR
             stat += (observed - expected) ** 2 / expected
             cells += 1
     df = cells - 1
-    p_value = float(_chi2.sf(stat, df))
+    p_value = _chi2_sf(stat, df)
     return GapIndependenceResult(stat, p_value, df, gap, n)

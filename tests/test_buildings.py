@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,11 @@ from insertproc import (WeightedGraph, building_count,
                         building_count_bruteforce, building_weight,
                         complete_graph, constraint_graph, cycle_graph,
                         kite_graph, multipartite_graph, block_projection,
-                        classify_multipartite, positive_words, reduced_count,
-                        word_weight)
-from insertproc.buildings import (bruteforce_sweep, constraint_edge_classes,
-                                  recurrence_sweep)
+                        classify_multipartite, gap_sum, positive_words,
+                        reduced_count, word_weight)
+from insertproc.buildings import (_interval_scaled, _scaled_building,
+                                  _scaled_reduced, bruteforce_sweep,
+                                  constraint_edge_classes, recurrence_sweep)
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -225,3 +228,75 @@ def test_word_validation():
         building_count(K3, (0, 3))
     with pytest.raises(ValueError):
         reduced_count(K3, (-1,))
+    # bools are not vertices, numpy integers are
+    with pytest.raises(ValueError, match="bool"):
+        building_count(K3, (True, False))
+    with pytest.raises(ValueError, match="bool"):
+        reduced_count(K3, (0, np.True_))
+    with pytest.raises(ValueError):
+        building_count(K3, (0.0, 1))
+    assert building_count(K3, (np.int64(0), np.int8(1), np.uint16(0))) == 4
+    assert reduced_count(K3, np.array([0, 1, 2])) == 6
+    with pytest.raises(ValueError, match="outside"):
+        building_count(K3, np.array([0, 3]))
+
+
+def _reduced_by_classes(g, word):
+    """R(x) as the sum over constraint-edge classes of their non-path edges."""
+    n = len(word)
+    if n <= 1:
+        return Fraction(1)
+    return sum(count * prod((g.weight(word[i], word[j])
+                             for i, j in pairs if j > i + 1), start=Fraction(1))
+               for pairs, count in constraint_edge_classes(n))
+
+
+@st.composite
+def _weighted_words(draw):
+    q = draw(st.integers(min_value=1, max_value=4))
+    weight = st.builds(Fraction, st.integers(min_value=0, max_value=7),
+                       st.sampled_from([1, 2, 3, 5]))
+    rows = [[draw(weight) for _ in range(q)] for _ in range(q)]
+    word = draw(st.lists(st.integers(min_value=0, max_value=q - 1),
+                         max_size=8))
+    return WeightedGraph(rows), tuple(word)
+
+
+@given(_weighted_words())
+@settings(max_examples=60, deadline=None)
+def test_three_kernels_agree(case):
+    # interval DP, memoized deletion recurrence and the sum over arrival
+    # orders, on B and on R, with zero weights and loops allowed
+    g, word = case
+    n = len(word)
+    den = g._den
+    b_scale = den ** max(0, 2 * n - 2)
+    r_scale = den ** max(0, n - 1)
+    b = building_count_bruteforce(g, word)
+    assert Fraction(_interval_scaled(g, word), b_scale) == b
+    assert Fraction(_scaled_building(g, word), b_scale) == b
+    r = _reduced_by_classes(g, word)
+    assert Fraction(_interval_scaled(g, word, reduced=True), r_scale) == r
+    assert Fraction(_scaled_reduced(g, word), r_scale) == r
+
+
+def test_long_word_factorization():
+    rng = random.Random(60)
+    g = complete_graph(4, Fraction(3, 2))
+    word = [0]
+    while len(word) < 60:
+        word.append(rng.choice([v for v in range(4) if v != word[-1]]))
+    word = tuple(word)
+    assert building_count(g, word) == word_weight(g, word) * reduced_count(g, word)
+    short = word[:14]
+    assert _interval_scaled(g, short) == _scaled_building(g, short)
+    assert _interval_scaled(g, short, reduced=True) == _scaled_reduced(g, short)
+
+
+def test_single_word_counts_leave_the_memo_empty():
+    g = complete_graph(4)
+    word = (0, 1, 2, 3, 0, 2, 1, 3, 1)
+    building_count(g, word)
+    reduced_count(g, word)
+    gap_sum(g, word, word, 2)
+    assert g._bcache == {} and g._tcache == {}

@@ -40,6 +40,20 @@ def test_check_c_verified(fixture_dir, capsys):
     assert report["constants"]["2"] == "5"
 
 
+def test_check_kdep_looped_graph_verifies(tmp_path, capsys):
+    # an iid graph, every weight 114/113 including loops, so every gap
+    # verifies; its scaled gap-3 sums exceed the int64 range
+    weights = [[i, j, "114/113"] for i in range(4) for j in range(4)]
+    path = tmp_path / "looped.json"
+    path.write_text(json.dumps({"vertices": 4, "weights": weights}))
+    code, out = run_cli(["check-kdep", "--graph", str(path), "--k", "3",
+                         "--max-n", "1", "--max-m", "1"], capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert report["verified"] is True
+    assert report["counterexample"] is None
+
+
 def test_check_c_counterexample_exit(fixture_dir, capsys):
     code, out = run_cli(["check-c", "--graph", str(fixture_dir / "kite.json"),
                          "--max-n", "4"], capsys)

@@ -1,7 +1,9 @@
 """Gap sums, k-dependence verification, and the triangle certificate."""
 
+import numpy as np
 import pytest
 
+from insertproc import dependence
 from insertproc import (ConsistencyNotVerified, check_k_dependence,
                         complete_graph, cycle_graph, gap_sum, kite_graph,
                         min_k_search, multipartite_graph, proper_coloring_windows,
@@ -34,6 +36,22 @@ def test_gap_sum_validation():
         gap_sum(K3, (), (1,), 1)
     with pytest.raises(ValueError):
         gap_sum(K3, (0,), (1,), -1)
+    with pytest.raises(ValueError, match="bool"):
+        gap_sum(K4, (True,), (1,), 1)
+    assert gap_sum(K4, np.array([0]), (np.int64(1),), 1) == 12
+
+
+def test_witness_rechecked_by_the_interval_dp(monkeypatch):
+    # a memo-side lhs that disagrees with the interval DP must not be
+    # reported as a counterexample
+    real = dependence._lhs_scaled
+
+    def skewed(g, x, y, k):
+        return real(g, x, y, k) + (1 if (x, y) == ((0,), (2,)) else 0)
+
+    monkeypatch.setattr(dependence, "_lhs_scaled", skewed)
+    with pytest.raises(RuntimeError, match="interval DP"):
+        check_k_dependence(K4, 1, 1, 1, use_symmetry=False)
 
 
 def test_k4_one_dependent_window_four():

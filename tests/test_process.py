@@ -11,6 +11,7 @@ from insertproc import (DeadEndError, WeightedGraph, building_weight,
                         insertion_law, insertion_marginal_gap, kite_graph,
                         marginal, multipartite_graph, sample_exact,
                         sample_insertion, stationarity_check)
+from insertproc.process import _chi2_sf
 
 
 def test_marginal_k3_values():
@@ -159,6 +160,26 @@ def test_gap_independence_k3_rejects():
     batch = sample_exact(g, 5, 0, 20000)
     res = empirical_gap_independence(batch, 1)
     assert res.p_value < 1e-6
+
+
+def test_chi2_sf_closed_forms():
+    assert _chi2_sf(2.0, 2) == pytest.approx(math.exp(-1), rel=1e-15)
+    assert _chi2_sf(3.0, 1) == pytest.approx(math.erfc(math.sqrt(1.5)), rel=1e-15)
+    assert _chi2_sf(0.0, 5) == 1.0
+    assert _chi2_sf(math.inf, 5) == 0.0
+    assert math.isnan(_chi2_sf(1.0, 0))
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(5)
+    xs = [1e-6, 0.1, 1.0, 7.5, 40.0, 150.0, 600.0, 1600.0]
+    xs += [rng.uniform(0, 400) for _ in range(40)]
+    for df in list(range(1, 40)) + [63, 80, 99, 143, 255, 399]:
+        for x in xs:
+            want = float(stats.chi2.sf(x, df))
+            if want > 1e-290:
+                assert _chi2_sf(x, df) == pytest.approx(want, rel=1e-12), (x, df)
 
 
 def test_gap_independence_validation():
