@@ -39,12 +39,14 @@ Two exact kernels serve two call patterns:
   both exact.  This costs O(n^3) integer operations and keeps no state
   between calls, so a cold word of length 60 costs milliseconds.
 * **Every word of a length** (the marginals and exact sampler of
-  :mod:`insertproc.process`, the consistency and k-dependence sweeps) runs
-  the deletion recurrence, memoized per graph on subwords.  In a sweep
-  every child of a word was already counted, so each word costs O(n)
-  cache lookups; the interval DP would redo O(n^3) work per word and is
-  measurably slower there.  On a single cold word the memo touches up to
-  ``2^n`` subwords, which is why single words do not use it.
+  :mod:`insertproc.process`, the consistency and k-dependence sweeps, and
+  :func:`recurrence_sweep`) runs the one memoized kernel: the deletion
+  recurrence for ``R``, memoized per graph on subwords, with ``B`` taken
+  as ``w * R``.  In a sweep every child of a word was already counted, so
+  each word costs O(n) cache lookups; the interval DP would redo O(n^3)
+  work per word and is measurably slower there.  On a single cold word
+  the memo touches up to ``2^n`` subwords, which is why single words do
+  not use it.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int],
 
 
 def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
-    """Reduced count scaled by ``D^(len-1)``; the memoized sweep kernel."""
+    """Reduced count scaled by ``D^(len-1)``; the one memoized kernel."""
     m = len(w)
     if m <= 1:
         return 1
@@ -242,31 +244,24 @@ def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
     return v
 
 
-def _scaled_building(g: WeightedGraph, w: Word) -> int:
-    """Building count scaled by ``D^(2*len-2)``; the memoized sweep kernel."""
-    m = len(w)
-    if m <= 1:
-        return 1
-    cache = g._bcache
-    v = cache.get(w)
-    if v is not None:
-        return v
+def _spine_scaled(g: WeightedGraph, w: Word) -> int:
+    """Word weight scaled by ``D^(len-1)``: the product of scaled pair weights."""
     num = g._num
-    den = g._den
-    last = m - 1
-    total = 0
-    for i in range(m):
-        a = den if i == 0 else num[w[i - 1]][w[i]]
-        if not a:
-            continue
-        b = den if i == last else num[w[i]][w[i + 1]]
-        if not b:
-            continue
-        total += a * b * _scaled_building(g, w[:i] + w[i + 1:])
-    v = total
-    if m <= _ALWAYS_CACHE_LEN or len(cache) < _CACHE_SOFT_CAP:
-        cache[w] = v
-    return v
+    total = 1
+    for a, b in zip(w, w[1:]):
+        total *= num[a][b]
+        if not total:
+            return 0
+    return total
+
+
+def _scaled_building(g: WeightedGraph, w: Word) -> int:
+    """Building count scaled by ``D^(2*len-2)``, as ``w * R`` on the memo.
+
+    Every building links every consecutive pair, so this holds at ``w = 0``.
+    """
+    spine = _spine_scaled(g, w)
+    return spine * _scaled_reduced(g, w) if spine else 0
 
 
 def _interval_scaled(g: WeightedGraph, w: Word, reduced: bool = False) -> int:
@@ -380,20 +375,6 @@ def _digit_arrays(q: int, m: int, dtype) -> list[np.ndarray]:
     return [((idx // (q ** (m - 1 - j))) % q).astype(dtype) for j in range(m)]
 
 
-def _num_array(g: WeightedGraph, dtype) -> np.ndarray:
-    if dtype is object:
-        arr = np.empty((g.vertex_count, g.vertex_count), dtype=object)
-        for i in range(g.vertex_count):
-            for j in range(g.vertex_count):
-                arr[i, j] = g._num[i][j]
-        return arr
-    return np.array(g._num, dtype=np.int64)
-
-
-def _max_factor(g: WeightedGraph) -> int:
-    return max(g._den, max(max(row) for row in g._num))
-
-
 def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarray, int]]:
     """Building counts of *all* words up to ``max_len``, by summing arrival orders.
 
@@ -406,6 +387,7 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     """
     q = g.vertex_count
     den = g._den
+    maxnum = max(den, max(map(max, g._num)))
     out: dict[int, tuple[np.ndarray, int]] = {}
     for m in range(0, max_len + 1):
         if m <= 1:
@@ -413,11 +395,14 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
             continue
         classes = constraint_edge_classes(m)
         e_max = max(len(pairs) for pairs, _ in classes)
-        maxnum = max(_max_factor(g), 1)
-        bound = (maxnum ** (m - 1)) * factorial(m) * (maxnum ** max(0, m - 2))
+        # int64 suffices below 2^62.  Per word, with every factor (D
+        # included) at most M = maxnum: the path product is <= M^(m-1); the
+        # class counts sum to m!; and each class's extras times its D
+        # padding fill e_max - (m-1) = m-2 slots, so are <= M^(m-2)
+        bound = (maxnum ** (m - 1)) * factorial(m) * (maxnum ** (m - 2))
         dtype = np.int64 if bound < 2 ** 62 else object
         digits = _digit_arrays(q, m, np.int64)
-        num = _num_array(g, dtype)
+        num = np.array(g._num, dtype=dtype)
         pairval: dict[tuple[int, int], np.ndarray] = {}
 
         def pv(a: int, b: int) -> np.ndarray:
@@ -430,56 +415,46 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
         path_prod = pv(0, 1).copy()
         for i in range(1, m - 1):
             path_prod = path_prod * pv(i, i + 1)
-        # extras share prefixes; memoize partial products
-        extras_prod: dict[tuple[tuple[int, int], ...], np.ndarray] = {
-            (): np.ones(q ** m, dtype=dtype)}
-
-        def ep(extras: tuple[tuple[int, int], ...]) -> np.ndarray:
-            if extras not in extras_prod:
-                extras_prod[extras] = ep(extras[:-1]) * pv(*extras[-1])
-            return extras_prod[extras]
-
-        acc = np.zeros(q ** m, dtype=dtype)
+        # sorted by their extras, classes that share a prefix are adjacent,
+        # so only the partial products along the current prefix are kept
+        by_extras = []
         for pairs, count in classes:
             extras = tuple(p for p in pairs if p not in path_pairs)
             assert len(extras) == len(pairs) - len(path_pairs)
-            acc = acc + count * (den ** (e_max - len(pairs))) * ep(extras)
+            by_extras.append((extras, count, e_max - len(pairs)))
+        by_extras.sort()
+        prev: tuple[tuple[int, int], ...] = ()
+        prods = [np.ones(q ** m, dtype=dtype)]
+        acc = np.zeros(q ** m, dtype=dtype)
+        for extras, count, pad in by_extras:
+            keep = 0
+            while keep < min(len(prev), len(extras)) and prev[keep] == extras[keep]:
+                keep += 1
+            del prods[keep + 1:]
+            for pair in extras[keep:]:
+                prods.append(prods[-1] * pv(*pair))
+            prev = extras
+            acc += count * (den ** pad) * prods[-1]
         out[m] = (path_prod * acc, den ** e_max)
     return out
 
 
 def recurrence_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarray, int]]:
-    """Building counts of all words up to ``max_len`` via the deletion recurrence.
+    """Building counts of all words up to ``max_len`` from the memoized kernel.
 
-    Batched bottom-up form of :func:`building_count`; same indexing and
-    scaling conventions as :func:`bruteforce_sweep` (here the scale is
-    ``D^(2m-2)``).
+    Same indexing and scaling conventions as :func:`bruteforce_sweep` (here
+    the scale is ``D^(2m-2)``).  Values are exact Python ints in object
+    arrays, taken as ``w * R`` over :func:`positive_words` and zero at every
+    other index.
     """
     q = g.vertex_count
-    den = g._den
-    maxf = max(_max_factor(g), 1)
-    bound = 1
-    for m in range(2, max_len + 1):
-        bound = bound * m * maxf * maxf
-    dtype = np.int64 if bound < 2 ** 62 else object
-    num = _num_array(g, dtype)
-    out: dict[int, tuple[np.ndarray, int]] = {
-        0: (np.ones(1, dtype=np.int64), 1),
-    }
-    if max_len >= 1:
-        out[1] = (np.ones(q, dtype=np.int64), 1)
-    prev = np.ones(q, dtype=dtype)
-    for m in range(2, max_len + 1):
-        idx = np.arange(q ** m, dtype=np.int64)
-        digits = [((idx // (q ** (m - 1 - j))) % q) for j in range(m)]
-        acc = np.zeros(q ** m, dtype=dtype)
-        for i in range(m):
-            hi = idx // (q ** (m - i))
-            lo = idx % (q ** (m - 1 - i))
-            child = hi * (q ** (m - 1 - i)) + lo
-            a = den if i == 0 else num[digits[i - 1], digits[i]]
-            b = den if i == m - 1 else num[digits[i], digits[i + 1]]
-            acc = acc + a * b * prev[child]
-        out[m] = (acc, den ** (2 * m - 2))
-        prev = acc
+    out: dict[int, tuple[np.ndarray, int]] = {}
+    for m in range(max_len + 1):
+        values = np.zeros(q ** m, dtype=object)
+        for word in positive_words(g, m):
+            idx = 0
+            for s in word:
+                idx = idx * q + s
+            values[idx] = _scaled_building(g, word)
+        out[m] = (values, g._den ** max(0, 2 * m - 2))
     return out

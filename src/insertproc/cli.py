@@ -103,6 +103,12 @@ def _check_enumeration(q: int, n: int) -> None:
             f"lower the window")
 
 
+def _check_middles(q: int, k: int) -> None:
+    if q ** k > _MIDDLE_BOUND:
+        raise _UsageError(
+            f"gap enumeration bound exceeded: {q}**{k} > {_MIDDLE_BOUND}")
+
+
 def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     g = _load_graph(config)
     sym = g.is_symmetric()
@@ -161,10 +167,7 @@ def _cmd_check_kdep(config: RunConfig) -> tuple[int, dict]:
     if config.max_n < 1 or config.max_m < 1:
         raise _UsageError("--max-n and --max-m must be at least 1")
     _check_enumeration(g.vertex_count, max(config.max_n, config.max_m) + 1)
-    if g.vertex_count ** config.k > _MIDDLE_BOUND:
-        raise _UsageError(
-            f"gap enumeration bound exceeded: {g.vertex_count}**{config.k} "
-            f"> {_MIDDLE_BOUND}")
+    _check_middles(g.vertex_count, config.k)
     report = {"command": "check-kdep", "graph": config.graph_path}
     try:
         result = check_k_dependence(g, config.k, config.max_n, config.max_m)
@@ -184,6 +187,7 @@ def _cmd_min_k(config: RunConfig) -> tuple[int, dict]:
     if config.max_k < 0:
         raise _UsageError("--max-k must be nonnegative")
     _check_enumeration(g.vertex_count, max(config.max_n, config.max_m) + 1)
+    _check_middles(g.vertex_count, config.max_k)
     report = {"command": "min-k", "graph": config.graph_path,
               "max_k": config.max_k}
     try:
@@ -261,7 +265,7 @@ def verify_identities(max_len: int = 5, random_graphs: int = 5,
         graphs.append((f"random{i}", graph_to_json_dict(WeightedGraph(rows))))
     jobs = [(name, data, max_len) for name, data in graphs]
     if threads > 1:
-        with Pool(processes=threads) as pool:
+        with Pool(processes=min(threads, len(jobs))) as pool:
             sweep_results = pool.map(_sweep_worker, jobs)
     else:
         sweep_results = [_sweep_worker(job) for job in jobs]

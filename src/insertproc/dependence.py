@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .buildings import (Word, positive_words, _as_word, _interval_scaled,
-                        _scaled_building, _scaled_reduced)
+                        _scaled_building, _scaled_reduced, _spine_scaled)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, automorphisms, has_directed_triangle
@@ -117,17 +117,6 @@ def _middles_from(g: WeightedGraph, start: int, k: int) -> Iterator[Word]:
             yield from rec(depth + 1, v)
 
     yield from rec(0, start)
-
-
-def _spine_scaled(g: WeightedGraph, word: Word) -> int:
-    """Word weight scaled by ``D^(len-1)``: the product of scaled pair weights."""
-    num = g._num
-    total = 1
-    for a, b in zip(word, word[1:]):
-        total *= num[a][b]
-        if not total:
-            return 0
-    return total
 
 
 def _gap_sum_scaled(g: WeightedGraph, x: Word, y: Word, k: int) -> int:

@@ -60,13 +60,13 @@ class WeightedGraph:
     Alongside the exact weight table the constructor precomputes an
     integer form of the weights (numerators over one common denominator)
     and positive-adjacency lists; the counting routines in
-    :mod:`insertproc.buildings` run entirely on the integer form.  Two
-    internal dictionaries serve as per-graph memo caches; they never
-    affect equality or hashing.
+    :mod:`insertproc.buildings` run entirely on the integer form.  One
+    internal dictionary is the per-graph memo cache of reduced counts; it
+    never affects equality or hashing.
     """
 
     __slots__ = ("vertex_count", "_rows", "_den", "_num", "_out", "_in",
-                 "_hash", "_bcache", "_tcache")
+                 "_hash", "_tcache")
 
     def __init__(self, rows: Sequence[Sequence[WeightLike]]):
         n = len(rows)
@@ -90,7 +90,6 @@ class WeightedGraph:
         self._in = tuple(tuple(i for i in range(n) if self._num[i][j] > 0)
                          for j in range(n))
         self._hash = hash((n, self._rows))
-        self._bcache: dict = {}
         self._tcache: dict = {}
 
     @classmethod
@@ -482,7 +481,8 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         entries = data["weights"]
     except (KeyError, TypeError) as exc:
         raise ValueError("graph document needs 'vertices' and 'weights'") from exc
-    if not isinstance(n, int) or n < 1:
+    # JSON true and false load as bools, an int subclass; type() tells them apart
+    if type(n) is not int or n < 1:
         raise ValueError("'vertices' must be a positive integer")
     if not isinstance(entries, list):
         raise ValueError("'weights' must be a list of [i, j, weight] triples")
@@ -491,11 +491,11 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValueError(f"weight entry {entry!r} is not an [i, j, weight] triple")
         i, j, w = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (type(i) is int and type(j) is int):
             raise ValueError(f"weight entry {entry!r} has non-integer vertices")
-        if isinstance(w, float):
-            raise ValueError(
-                f"weight entry {entry!r} uses a float; use an exact 'p/q' string")
+        if isinstance(w, (bool, float)):
+            raise ValueError(f"weight entry {entry!r} uses a {type(w).__name__}; "
+                             f"use an exact 'p/q' string")
         if (i, j) in pairs:
             raise ValueError(f"duplicate weight entry for pair ({i}, {j})")
         pairs[(i, j)] = _as_weight(w)

@@ -25,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .buildings import Word, BuildOrder, positive_words, _scaled_building
@@ -81,25 +82,35 @@ class SampleBatch:
         return "\n".join(json.dumps(list(w)) for w in self.words)
 
 
+def _scaled_masses(g: WeightedGraph, n: int,
+                   max_enumeration: int) -> dict[Word, int]:
+    """Positive scaled building counts ``B * D^(2n-2)`` of the length-``n`` words.
+
+    Enumerates positive-weight words only: ``B = w * R`` and ``R >= 1``
+    (the left-to-right arrival order adds no other link), so exactly these
+    words have positive building count.  Rejected when ``q**n`` exceeds
+    ``max_enumeration``.
+    """
+    if g.vertex_count ** n > max_enumeration:
+        raise ValueError(
+            f"enumeration bound exceeded: {g.vertex_count}**{n} > {max_enumeration}")
+    masses = {w: _scaled_building(g, w) for w in positive_words(g, n)}
+    if not masses:
+        raise ValueError("no word of this length has positive building count")
+    return masses
+
+
 def marginal(g: WeightedGraph, n: int,
              max_enumeration: int = _DEFAULT_ENUMERATION_BOUND) -> Marginal:
     """Exact length-``n`` marginal of the insertion process.
 
-    Enumerates positive-weight words only; all other words have building
-    count zero.  Rejected when ``q**n`` exceeds ``max_enumeration``.
+    Rejected when ``q**n`` exceeds ``max_enumeration``.
     """
     if n < 1:
         raise ValueError("window length must be at least 1")
-    if g.vertex_count ** n > max_enumeration:
-        raise ValueError(
-            f"enumeration bound exceeded: {g.vertex_count}**{n} > {max_enumeration}")
-    scaled: dict[Word, int] = {}
-    for word in positive_words(g, n):
-        scaled[word] = _scaled_building(g, word)
-    total = sum(scaled.values())
-    if total == 0:
-        raise ValueError("no word of this length has positive building count")
-    table = {w: Fraction(v, total) for w, v in scaled.items() if v > 0}
+    masses = _scaled_masses(g, n, max_enumeration)
+    total = sum(masses.values())
+    table = {w: Fraction(v, total) for w, v in masses.items()}
     return Marginal(n, table, Fraction(total, g._den ** (2 * n - 2)))
 
 
@@ -142,27 +153,20 @@ def _draw_index(rng: random.Random, cumulative: list[int], total: int) -> int:
 
 
 def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch:
-    """IID draws from the exact marginal, deterministic given the seed."""
+    """IID draws from the exact marginal, deterministic given the seed.
+
+    Rejected, as :func:`marginal` is, when ``q**n`` exceeds the enumeration
+    bound.
+    """
     if count < 0:
         raise ValueError("sample count must be nonnegative")
     if count == 0:
         return SampleBatch(g, n, seed, ())
-    words: list[Word] = []
-    masses: list[int] = []
-    for word in positive_words(g, n):
-        mass = _scaled_building(g, word)
-        if mass > 0:
-            words.append(word)
-            masses.append(mass)
-    if not words:
-        raise ValueError("no word of this length has positive building count")
-    cumulative = []
-    running = 0
-    for m in masses:
-        running += m
-        cumulative.append(running)
+    masses = _scaled_masses(g, n, _DEFAULT_ENUMERATION_BOUND)
+    words = list(masses)
+    cumulative = list(accumulate(masses.values()))
     rng = random.Random(seed)
-    out = tuple(words[_draw_index(rng, cumulative, running)]
+    out = tuple(words[_draw_index(rng, cumulative, cumulative[-1])]
                 for _ in range(count))
     return SampleBatch(g, n, seed, out)
 

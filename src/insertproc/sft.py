@@ -51,6 +51,9 @@ class ShiftOfFiniteType:
     allowed: frozenset[Word]
 
     def __post_init__(self):
+        # bools are an int subclass; type() rejects them
+        if not (type(self.q) is int and type(self.n) is int):
+            raise ValueError("alphabet size and window length must be integers")
         if self.q < 1:
             raise ValueError("alphabet size must be positive")
         if self.n < 1:
@@ -60,7 +63,9 @@ class ShiftOfFiniteType:
         for t in self.allowed:
             if len(t) != self.n:
                 raise ValueError(f"window {t!r} does not have length {self.n}")
-            if any(not isinstance(s, int) or not (0 <= s < self.q) for s in t):
+            if not all(type(s) is int for s in t):
+                raise ValueError(f"window {t!r} has non-integer symbols")
+            if not all(0 <= s < self.q for s in t):
                 raise ValueError(f"window {t!r} has symbols outside the alphabet")
             if len(set(t)) == 1:
                 raise ValueError(f"constant window {t!r} is not allowed")
@@ -249,7 +254,7 @@ def sft_from_json_dict(data: dict) -> ShiftOfFiniteType:
         allowed = data["allowed"]
     except (KeyError, TypeError) as exc:
         raise ValueError("shift document needs 'q', 'n' and 'allowed'") from exc
-    if not isinstance(q, int) or not isinstance(n, int):
+    if not (type(q) is int and type(n) is int):
         raise ValueError("'q' and 'n' must be integers")
     if not isinstance(allowed, list):
         raise ValueError("'allowed' must be a list of windows")
@@ -257,6 +262,9 @@ def sft_from_json_dict(data: dict) -> ShiftOfFiniteType:
     for t in allowed:
         if not isinstance(t, list) or len(t) != n:
             raise ValueError(f"window {t!r} is not a list of length {n}")
+        # checked before the set is built, where [0, true] would merge into [0, 1]
+        if not all(type(s) is int for s in t):
+            raise ValueError(f"window {t!r} has non-integer symbols")
         windows.append(tuple(t))
     return ShiftOfFiniteType(q, n, frozenset(windows))
 

@@ -1,6 +1,7 @@
 """Building counts: constructions, recurrences, and the brute-force oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from insertproc import (WeightedGraph, building_count,
                         building_count_bruteforce, building_weight,
-                        complete_graph, constraint_graph, cycle_graph,
-                        kite_graph, multipartite_graph, block_projection,
-                        classify_multipartite, gap_sum, positive_words,
-                        reduced_count, word_weight)
+                        check_k_dependence, complete_graph, constraint_graph,
+                        cycle_graph, kite_graph, multipartite_graph,
+                        block_projection, classify_multipartite, gap_sum,
+                        marginal, positive_words, reduced_count, word_weight)
 from insertproc.buildings import (_interval_scaled, _scaled_building,
                                   _scaled_reduced, bruteforce_sweep,
                                   constraint_edge_classes, recurrence_sweep)
@@ -223,6 +224,18 @@ def test_sweeps_object_fallback():
     assert Fraction(int(rv[idx]), rs) == building_count(g, word)
 
 
+def test_bruteforce_sweep_keeps_one_prefix_chain():
+    # one q^m array per distinct extras prefix peaked near 39 MB on this
+    # input; the current prefix chain holds at most m - 1 of them
+    tracemalloc.start()
+    try:
+        bruteforce_sweep(kite_graph(), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         building_count(K3, (0, 3))
@@ -299,4 +312,13 @@ def test_single_word_counts_leave_the_memo_empty():
     building_count(g, word)
     reduced_count(g, word)
     gap_sum(g, word, word, 2)
-    assert g._bcache == {} and g._tcache == {}
+    assert g._tcache == {}
+
+
+def test_sweeps_fill_only_the_memo_of_reduced_counts():
+    g = kite_graph()
+    marginal(g, 5)
+    assert not hasattr(g, "_bcache") and g._tcache
+    g = complete_graph(3)
+    check_k_dependence(g, 2, 2, 2)
+    assert not hasattr(g, "_bcache") and g._tcache

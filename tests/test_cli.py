@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from insertproc import cli
 from insertproc.cli import main
 from insertproc.fixtures import fixture_names, fixture_text
 
@@ -169,6 +170,50 @@ def test_bound_exceeded_exit_two(fixture_dir, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "bound" in err
+
+
+def test_gap_bound_exit_two(fixture_dir, capsys):
+    # min-k enforces the q**k middle bound at its largest gap, as check-kdep does
+    for argv in (["check-kdep", "--k", "9"], ["min-k", "--max-k", "9"]):
+        code = main(argv + ["--graph", str(fixture_dir / "k4.json")])
+        assert code == 2, argv
+        assert "gap enumeration bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, doc, argv", [
+    ("graph", {"vertices": True, "weights": [[False, False, "1"]]},
+     ["check-c", "--graph"]),
+    ("shift", {"q": 2, "n": 2, "allowed": [[0, 1], [True, 0]]},
+     ["sft", "--sft"]),
+])
+def test_bool_document_exit_two(tmp_path, capsys, name, doc, argv):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path)]) == 2
+    assert f"invalid {name}" in capsys.readouterr().err
+
+
+def test_verify_identities_pool_size(monkeypatch):
+    # a fake Pool records the requested size and starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    report = cli.verify_identities(max_len=2, random_graphs=1, threads=10 ** 6)
+    assert report["all_passed"]
+    assert sizes == [4]
 
 
 def test_usage_error_exit_two(capsys):

@@ -291,3 +291,14 @@ def test_json_errors():
         graph_from_json_dict({"vertices": 2, "weights": [[0, 1, 0.5]]})
     with pytest.raises(ValueError):
         graph_from_json_dict({"vertices": 2, "weights": [[0, 1, "1"], [0, 1, "2"]]})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": True, "weights": []}, "positive integer"),
+    ({"vertices": 2, "weights": [[False, 1, "1"]]}, "non-integer vertices"),
+    ({"vertices": 2, "weights": [[0, True, "1"]]}, "non-integer vertices"),
+    ({"vertices": 2, "weights": [[0, 1, True]]}, "bool"),
+])
+def test_json_rejects_bools(doc, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_json_dict(doc)

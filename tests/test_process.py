@@ -3,14 +3,19 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from insertproc import (DeadEndError, WeightedGraph, building_weight,
-                        complete_graph, empirical_gap_independence,
-                        insertion_law, insertion_marginal_gap, kite_graph,
-                        marginal, multipartite_graph, sample_exact,
-                        sample_insertion, stationarity_check)
+from insertproc import (DeadEndError, WeightedGraph, building_count,
+                        building_weight, complete_graph,
+                        empirical_gap_independence, insertion_law,
+                        insertion_marginal_gap, kite_graph, marginal,
+                        multipartite_graph, proper_coloring_windows,
+                        sample_exact, sample_insertion, sample_sft,
+                        stationarity_check)
 from insertproc.process import _chi2_sf
 
 
@@ -36,6 +41,40 @@ def test_marginal_support_is_positive_walks():
 def test_marginal_bound():
     with pytest.raises(ValueError):
         marginal(complete_graph(6), 12, max_enumeration=10 ** 6)
+
+
+def test_sample_exact_bound():
+    # rejected before any word is enumerated, as marginal is
+    with pytest.raises(ValueError, match="enumeration bound"):
+        sample_exact(complete_graph(10), 8, 0, 1)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        sample_sft(proper_coloring_windows(3), 10, 0, 1)
+
+
+@st.composite
+def _weighted_lengths(draw):
+    q = draw(st.integers(min_value=1, max_value=3))
+    weight = st.builds(Fraction, st.integers(min_value=0, max_value=5),
+                       st.sampled_from([1, 2, 3, 4]))
+    rows = [[draw(weight) for _ in range(q)] for _ in range(q)]
+    return WeightedGraph(rows), draw(st.integers(min_value=1, max_value=5))
+
+
+@given(_weighted_lengths())
+@settings(max_examples=40, deadline=None)
+def test_marginal_is_normalized_building_count(case):
+    # random rational tables with zero weights and loops
+    g, n = case
+    counts = {w: building_count(g, w)
+              for w in product(range(g.vertex_count), repeat=n)}
+    z = sum(counts.values())
+    if z == 0:
+        with pytest.raises(ValueError, match="no word"):
+            marginal(g, n)
+        return
+    m = marginal(g, n)
+    assert m.normalizer == z
+    assert dict(m.table) == {w: b / z for w, b in counts.items() if b}
 
 
 def test_stationarity():

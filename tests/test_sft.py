@@ -190,3 +190,24 @@ def test_json_roundtrip():
         sft_from_json_dict({"q": 2, "n": 2})
     with pytest.raises(ValueError):
         sft_from_json_dict({"q": 2, "n": 2, "allowed": [[0, 0]]})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"q": True, "n": 2, "allowed": [[0, 1]]}, "must be integers"),
+    ({"q": 2, "n": True, "allowed": [[0]]}, "must be integers"),
+    # [0, true] would merge into [0, 1] once the windows form a set
+    ({"q": 2, "n": 2, "allowed": [[0, 1], [0, True]]}, "non-integer"),
+])
+def test_json_rejects_bools(doc, message):
+    with pytest.raises(ValueError, match=message):
+        sft_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("q, n, window, message", [
+    (True, 2, (0, 1), "must be integers"),
+    (2, True, (0,), "must be integers"),
+    (2, 2, (False, 1), "non-integer"),
+])
+def test_validation_rejects_bools(q, n, window, message):
+    with pytest.raises(ValueError, match=message):
+        ShiftOfFiniteType(q, n, frozenset([window]))
