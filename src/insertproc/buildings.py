@@ -51,6 +51,7 @@ Two exact kernels serve two call patterns:
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,11 +59,12 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 from operator import index, mul
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .graphs import WeightedGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Word = tuple[int, ...]
 BuildOrder = tuple[int, ...]
@@ -83,12 +85,6 @@ __all__ = [
     "recurrence_sweep",
 ]
 
-# Words up to this length are always memoized; longer words are memoized
-# only while the per-graph cache stays below the soft cap, which bounds
-# memory during large enumeration sweeps.
-_ALWAYS_CACHE_LEN = 6
-_CACHE_SOFT_CAP = 400_000
-
 _BRUTEFORCE_MAX_LEN = 8
 
 
@@ -98,9 +94,14 @@ def _as_word(g: WeightedGraph, word: Sequence[int]) -> Word:
     Any integer type, numpy integers included, is accepted through
     ``operator.index``; bools are rejected rather than read as 0 and 1.
     """
+    # numpy is imported only by the array sweeps below, so that counting
+    # does not pay for it; a numpy bool can only come from a caller that
+    # imported numpy itself
+    numpy = sys.modules.get("numpy")
+    bools = bool if numpy is None else (bool, numpy.bool_)
     out = []
     for s in word:
-        if isinstance(s, (bool, np.bool_)):
+        if isinstance(s, bools):
             raise ValueError(f"symbol {s!r} is a bool, not a vertex")
         try:
             v = index(s)
@@ -239,8 +240,7 @@ def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
             if f:
                 total += f * _scaled_reduced(g, w[:i] + w[i + 1:])
         v = total
-    if m <= _ALWAYS_CACHE_LEN or len(cache) < _CACHE_SOFT_CAP:
-        cache[w] = v
+    cache[w] = v
     return v
 
 
@@ -322,6 +322,22 @@ def building_count(g: WeightedGraph, word: Sequence[int]) -> Fraction:
     return Fraction(_interval_scaled(g, w), g._den ** (2 * len(w) - 2))
 
 
+# Every exhaustive sweep is bounded where it is entered, in the API: at most
+# q**n words of one length, and at most q**k middles of one gap.  The CLI
+# enforces these bounds only through the functions it calls.
+_ENUMERATION_BOUND = 10 ** 7
+_MIDDLE_BOUND = 10 ** 5
+
+
+def _check_bound(q: int, n: int, bound: int = _ENUMERATION_BOUND,
+                 what: str = "enumeration") -> None:
+    """Refuse a sweep over ``q**n`` words when that exceeds ``bound``."""
+    # for q >= 2, n beyond the bound's bit length already gives q**n > bound,
+    # and a huge n never has its power formed
+    if q > 1 and (n > bound.bit_length() or q ** n > bound):
+        raise ValueError(f"{what} bound exceeded: {q}**{n} > {bound}")
+
+
 def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     """All words of length ``n`` with positive word weight, in lexicographic order."""
     if n < 0:
@@ -371,6 +387,7 @@ def constraint_edge_classes(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
 
 
 def _digit_arrays(q: int, m: int, dtype) -> list[np.ndarray]:
+    import numpy as np
     idx = np.arange(q ** m, dtype=np.int64)
     return [((idx // (q ** (m - 1 - j))) % q).astype(dtype) for j in range(m)]
 
@@ -385,6 +402,7 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     :func:`constraint_edge_classes`, which keeps this an independent route
     from the deletion recurrence.
     """
+    import numpy as np
     q = g.vertex_count
     den = g._den
     maxnum = max(den, max(map(max, g._num)))
@@ -447,6 +465,7 @@ def recurrence_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     arrays, taken as ``w * R`` over :func:`positive_words` and zero at every
     other index.
     """
+    import numpy as np
     q = g.vertex_count
     out: dict[int, tuple[np.ndarray, int]] = {}
     for m in range(max_len + 1):

@@ -1,10 +1,17 @@
 """Command-line interface: analyze graphs, run verifications, sample processes.
 
+The CLI parses flags, loads the JSON input and calls the library.  Input
+checks and resource bounds belong to the library functions it calls (the
+two sweep bounds are defined in :mod:`insertproc.buildings`), so the API
+and the CLI refuse the same inputs; the CLI turns a ``ValueError`` into
+exit status 2 and checks only what it owns itself, the window and count
+of its loop over the insertion sampler.
+
 All commands read and write JSON; reports are deterministic functions of
-the configuration (keys sorted, no timestamps), so identical invocations
-produce byte-identical output.  Exit status: 0 on success or verified, 1
-when a counterexample or violation was found (the report carries the
-witness), 2 on usage, parse or bound errors.
+the flags (keys sorted, no timestamps), so identical invocations produce
+byte-identical output.  Exit status: 0 on success or verified, 1 when a
+counterexample or violation was found (the report carries the witness),
+2 on usage, parse or bound errors.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 from typing import Optional
@@ -21,102 +27,47 @@ from typing import Optional
 from .buildings import bruteforce_sweep, recurrence_sweep
 from .consistency import ConsistencyNotVerified, check_consistency
 from .dependence import check_k_dependence, min_k_search
-from .graphs import (WeightedGraph, classify_multipartite, find_kite,
-                     graph_from_json_dict, graph_to_json_dict,
-                     has_directed_triangle, is_strongly_connected, regularity,
-                     triangles_per_edge, uniform_weight)
+from .graphs import (WeightedGraph, classify_multipartite, complete_graph,
+                     find_kite, graph_from_json_dict, graph_to_json_dict,
+                     has_directed_triangle, is_strongly_connected, kite_graph,
+                     regularity, triangles_per_edge, uniform_weight)
 from .poly import reduced_count_symbolic, short_word_closed_forms
-from .process import sample_exact, sample_insertion
+from .process import DeadEndError, sample_exact, sample_insertion
 from .sft import check_lr, not_finitely_dependent_certificate, sft_from_json_dict
 
-__all__ = ["RunConfig", "run", "verify_identities", "main", "entry"]
-
-_ENUMERATION_BOUND = 10 ** 7
-_MIDDLE_BOUND = 10 ** 5
+__all__ = ["verify_identities", "main", "entry"]
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; field defaults are the documented flag defaults."""
-
-    command: str
-    graph_path: Optional[str] = None
-    sft_path: Optional[str] = None
-    max_n: int = 4
-    max_m: int = 4
-    k: int = 1
-    max_k: int = 4
-    window: int = 4
-    count: int = 100
-    seed: int = 0
-    threads: int = 1
-    out: Optional[str] = None
-    pretty: bool = False
-    method: str = "exact"
-    certify: bool = False
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _load_graph(config: RunConfig) -> WeightedGraph:
-    if not config.graph_path:
-        raise _UsageError("this command requires --graph PATH")
+def _load(path: str, parse, what: str):
+    """``parse`` applied to the JSON document at ``path``; failures are ValueErrors."""
     try:
-        with open(config.graph_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read {config.graph_path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _UsageError(
-            f"malformed JSON in {config.graph_path} at line {exc.lineno}, "
+        raise ValueError(
+            f"malformed JSON in {path} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from exc
     try:
-        return graph_from_json_dict(data)
+        return parse(data)
     except ValueError as exc:
-        raise _UsageError(f"invalid graph in {config.graph_path}: {exc}") from exc
+        raise ValueError(f"invalid {what} in {path}: {exc}") from exc
 
 
-def _load_sft(config: RunConfig):
-    if not config.sft_path:
-        raise _UsageError("this command requires --sft PATH")
-    try:
-        with open(config.sft_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {config.sft_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(
-            f"malformed JSON in {config.sft_path} at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}") from exc
-    try:
-        return sft_from_json_dict(data)
-    except ValueError as exc:
-        raise _UsageError(f"invalid shift in {config.sft_path}: {exc}") from exc
+def _load_graph(args: argparse.Namespace) -> WeightedGraph:
+    return _load(args.graph, graph_from_json_dict, "graph")
 
 
-def _check_enumeration(q: int, n: int) -> None:
-    if q ** n > _ENUMERATION_BOUND:
-        raise _UsageError(
-            f"enumeration bound exceeded: {q}**{n} > {_ENUMERATION_BOUND}; "
-            f"lower the window")
-
-
-def _check_middles(q: int, k: int) -> None:
-    if q ** k > _MIDDLE_BOUND:
-        raise _UsageError(
-            f"gap enumeration bound exceeded: {q}**{k} > {_MIDDLE_BOUND}")
-
-
-def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
-    g = _load_graph(config)
+def _cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
+    g = _load_graph(args)
     sym = g.is_symmetric()
     loopless = g.is_loopless()
     uw = uniform_weight(g)
+    triangle = has_directed_triangle(g)
     report = {
         "command": "analyze",
-        "graph": config.graph_path,
+        "graph": args.graph,
         "vertices": g.vertex_count,
         "positive_edges": sum(1 for _ in g.positive_edges()),
         "symmetric": sym,
@@ -127,8 +78,7 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
             "violations": [[list(pair), str(w)] for pair, w in uw.violations[:10]],
         },
         "regular_out_degree": regularity(g),
-        "directed_triangle": (list(has_directed_triangle(g))
-                              if has_directed_triangle(g) else None),
+        "directed_triangle": list(triangle) if triangle else None,
         "strongly_connected": is_strongly_connected(g),
     }
     if sym and loopless:
@@ -149,31 +99,22 @@ def _cmd_analyze(config: RunConfig) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_check_c(config: RunConfig) -> tuple[int, dict]:
-    g = _load_graph(config)
-    if config.max_n < 2:
-        raise _UsageError("--max-n must be at least 2")
-    _check_enumeration(g.vertex_count, config.max_n)
-    result = check_consistency(g, config.max_n)
-    report = {"command": "check-c", "graph": config.graph_path}
+def _cmd_check_c(args: argparse.Namespace) -> tuple[int, dict]:
+    g = _load_graph(args)
+    result = check_consistency(g, args.max_n)
+    report = {"command": "check-c", "graph": args.graph}
     report.update(result.to_json_dict())
     return (0 if result.verified else 1), report
 
 
-def _cmd_check_kdep(config: RunConfig) -> tuple[int, dict]:
-    g = _load_graph(config)
-    if config.k < 0:
-        raise _UsageError("--k must be nonnegative")
-    if config.max_n < 1 or config.max_m < 1:
-        raise _UsageError("--max-n and --max-m must be at least 1")
-    _check_enumeration(g.vertex_count, max(config.max_n, config.max_m) + 1)
-    _check_middles(g.vertex_count, config.k)
-    report = {"command": "check-kdep", "graph": config.graph_path}
+def _cmd_check_kdep(args: argparse.Namespace) -> tuple[int, dict]:
+    g = _load_graph(args)
+    report = {"command": "check-kdep", "graph": args.graph}
     try:
-        result = check_k_dependence(g, config.k, config.max_n, config.max_m)
+        result = check_k_dependence(g, args.k, args.max_n, args.max_m)
     except ConsistencyNotVerified as exc:
         report.update({
-            "k": config.k,
+            "k": args.k,
             "verified": False,
             "consistency_failure": str(exc),
         })
@@ -182,16 +123,11 @@ def _cmd_check_kdep(config: RunConfig) -> tuple[int, dict]:
     return (0 if result.verified else 1), report
 
 
-def _cmd_min_k(config: RunConfig) -> tuple[int, dict]:
-    g = _load_graph(config)
-    if config.max_k < 0:
-        raise _UsageError("--max-k must be nonnegative")
-    _check_enumeration(g.vertex_count, max(config.max_n, config.max_m) + 1)
-    _check_middles(g.vertex_count, config.max_k)
-    report = {"command": "min-k", "graph": config.graph_path,
-              "max_k": config.max_k}
+def _cmd_min_k(args: argparse.Namespace) -> tuple[int, dict]:
+    g = _load_graph(args)
+    report = {"command": "min-k", "graph": args.graph, "max_k": args.max_k}
     try:
-        result = min_k_search(g, config.max_k, config.max_n, config.max_m)
+        result = min_k_search(g, args.max_k, args.max_n, args.max_m)
     except ConsistencyNotVerified as exc:
         report.update({"found": None, "consistency_failure": str(exc)})
         return 1, report
@@ -200,30 +136,29 @@ def _cmd_min_k(config: RunConfig) -> tuple[int, dict]:
     return (0 if result.found is not None else 1), report
 
 
-def _cmd_sample(config: RunConfig) -> tuple[int, str]:
-    g = _load_graph(config)
-    if config.window < 1:
-        raise _UsageError("--window must be at least 1")
-    if config.count < 0:
-        raise _UsageError("--count must be nonnegative")
-    _check_enumeration(g.vertex_count, config.window)
-    if config.method == "exact":
-        batch = sample_exact(g, config.window, config.seed, config.count)
-        words = batch.words
+def _cmd_sample(args: argparse.Namespace) -> tuple[int, str]:
+    g = _load_graph(args)
+    if args.method == "exact":
+        words = sample_exact(g, args.window, args.seed, args.count).words
     else:
-        rng = random.Random(config.seed)
-        words = tuple(sample_insertion(g, config.window, rng.getrandbits(63))[0]
-                      for _ in range(config.count))
+        # this loop is the CLI's own, and so are the checks of its flags
+        if args.window < 1:
+            raise ValueError("--window must be at least 1")
+        if args.count < 0:
+            raise ValueError("--count must be nonnegative")
+        rng = random.Random(args.seed)
+        words = tuple(sample_insertion(g, args.window, rng.getrandbits(63))[0]
+                      for _ in range(args.count))
     lines = "\n".join(json.dumps(list(w)) for w in words)
     return 0, lines + ("\n" if lines else "")
 
 
-def _cmd_sft(config: RunConfig) -> tuple[int, dict]:
-    shift = _load_sft(config)
+def _cmd_sft(args: argparse.Namespace) -> tuple[int, dict]:
+    shift = _load(args.sft, sft_from_json_dict, "shift")
     lr = check_lr(shift)
     report = {
         "command": "sft",
-        "sft": config.sft_path,
+        "sft": args.sft,
         "alphabet": shift.q,
         "window_length": shift.n,
         "windows": len(shift.allowed),
@@ -233,7 +168,7 @@ def _cmd_sft(config: RunConfig) -> tuple[int, dict]:
             "violation": lr.violation,
         },
     }
-    if config.certify:
+    if args.certify:
         report["certificate"] = not_finitely_dependent_certificate(shift)
     return (0 if lr.is_constant else 1), report
 
@@ -246,12 +181,17 @@ def verify_identities(max_len: int = 5, random_graphs: int = 5,
     compared against independently constructed reference polynomials; then
     for a family of small graphs every word up to ``max_len`` is counted
     by both the deletion recurrence and direct summation over arrival
-    orders, and the values are compared exactly.
+    orders, and the values are compared exactly.  ``max_len`` runs from 2
+    to 7, and ``threads`` worker processes, at most one per graph, share
+    the sweep.
     """
+    if not 2 <= max_len <= 7:
+        raise ValueError("sweep length must be between 2 and 7")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     forms = short_word_closed_forms()
     closed = {str(n): reduced_count_symbolic(n) == forms[n] for n in (2, 3, 4)}
     graphs: list[tuple[str, dict]] = []
-    from .graphs import complete_graph, kite_graph  # local to keep import light
     graphs.append(("K2", graph_to_json_dict(complete_graph(2))))
     graphs.append(("K3", graph_to_json_dict(complete_graph(3))))
     graphs.append(("kite", graph_to_json_dict(kite_graph())))
@@ -295,50 +235,11 @@ def _sweep_worker(job: tuple[str, dict, int]) -> tuple[str, bool, int]:
     return name, True, words
 
 
-def _cmd_verify_identities(config: RunConfig) -> tuple[int, dict]:
-    if config.max_n < 2 or config.max_n > 7:
-        raise _UsageError("--max-n for verify-identities must be between 2 and 7")
-    if config.threads < 1:
-        raise _UsageError("--threads must be at least 1")
+def _cmd_verify_identities(args: argparse.Namespace) -> tuple[int, dict]:
     report = {"command": "verify-identities"}
-    report.update(verify_identities(max_len=config.max_n, seed=config.seed,
-                                    threads=config.threads))
+    report.update(verify_identities(max_len=args.max_n, seed=args.seed,
+                                    threads=args.threads))
     return (0 if report["all_passed"] else 1), report
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "check-c": _cmd_check_c,
-    "check-kdep": _cmd_check_kdep,
-    "min-k": _cmd_min_k,
-    "sample": _cmd_sample,
-    "sft": _cmd_sft,
-    "verify-identities": _cmd_verify_identities,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command and write its report; returns the exit status."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
-    try:
-        status, report = handler(config)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if isinstance(report, str):
-        text = report
-    else:
-        text = json.dumps(report, sort_keys=True,
-                          indent=2 if config.pretty else None) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "on weighted graphs and shifts of finite type.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, handler) -> None:
+        p.set_defaults(handler=handler)
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write the report to PATH instead of stdout")
         p.add_argument("--pretty", action="store_true",
@@ -356,27 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural report for a graph")
     p.add_argument("--graph", metavar="PATH", required=True)
-    add_common(p)
+    add_common(p, _cmd_analyze)
 
     p = sub.add_parser("check-c", help="verify extension consistency")
     p.add_argument("--graph", metavar="PATH", required=True)
     p.add_argument("--max-n", type=int, default=5,
                    help="check word lengths below this bound (default 5)")
-    add_common(p)
+    add_common(p, _cmd_check_c)
 
     p = sub.add_parser("check-kdep", help="verify the gap-k independence identity")
     p.add_argument("--graph", metavar="PATH", required=True)
     p.add_argument("--k", type=int, default=1, help="gap length (default 1)")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=4)
-    add_common(p)
+    add_common(p, _cmd_check_kdep)
 
     p = sub.add_parser("min-k", help="search for the least verified gap")
     p.add_argument("--graph", metavar="PATH", required=True)
     p.add_argument("--max-k", type=int, default=4)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=4)
-    add_common(p)
+    add_common(p, _cmd_min_k)
 
     p = sub.add_parser("sample", help="sample words from the insertion process")
     p.add_argument("--graph", metavar="PATH", required=True)
@@ -388,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator seed; fixed default 0, never time-derived")
     p.add_argument("--method", choices=("exact", "insertion"), default="exact",
                    help="exact marginal sampler or stepwise insertion sampler")
-    add_common(p)
+    add_common(p, _cmd_sample)
 
     p = sub.add_parser("sft", help="window-count check and certificate for a shift")
     p.add_argument("--sft", "--file", dest="sft", metavar="PATH", required=True)
     p.add_argument("--certify", action="store_true",
                    help="include the not-finitely-dependent certificate")
-    add_common(p)
+    add_common(p, _cmd_sft)
 
     p = sub.add_parser("verify-identities",
                        help="closed-form and two-route counting checks")
@@ -403,35 +305,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for the sweep (default 1)")
-    add_common(p)
+    add_common(p, _cmd_verify_identities)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.graph_path = getattr(args, "graph", None)
-    config.sft_path = getattr(args, "sft", None)
-    for field_name, attr in [("max_n", "max_n"), ("max_m", "max_m"),
-                             ("k", "k"), ("max_k", "max_k"),
-                             ("window", "window"), ("count", "count"),
-                             ("seed", "seed"), ("threads", "threads"),
-                             ("method", "method")]:
-        if hasattr(args, attr):
-            setattr(config, field_name, getattr(args, attr))
-    config.out = getattr(args, "out", None)
-    config.pretty = getattr(args, "pretty", False)
-    config.certify = getattr(args, "certify", False)
-    return config
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command and write its report; returns the exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    return run(_config_from_args(args))
+    try:
+        status, report = args.handler(args)
+    except (ValueError, DeadEndError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(report, str):
+        text = report
+    else:
+        text = json.dumps(report, sort_keys=True,
+                          indent=2 if args.pretty else None) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return status
 
 
 def entry() -> None:

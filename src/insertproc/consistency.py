@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .buildings import Word, positive_words, reduced_count, _scaled_reduced
+from .buildings import (Word, positive_words, reduced_count, _check_bound,
+                        _scaled_reduced)
 from .graphs import WeightedGraph, complete_graph, uniform_weight
 
 __all__ = [
@@ -111,10 +112,12 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
 
     Scans positive-weight words in lexicographic order; the first word
     whose right or left extension sum deviates (by exact
-    cross-multiplication) from the anchored constant is reported.
+    cross-multiplication) from the anchored constant is reported.  Refused
+    when ``q**max_len`` exceeds the enumeration bound.
     """
     if max_len < 2:
         raise ValueError("window bound must be at least 2")
+    _check_bound(g.vertex_count, max_len)
     den2 = g._den * g._den
     constants: dict[int, Fraction] = {}
     for n in range(1, max_len):

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .buildings import (Word, positive_words, _as_word, _interval_scaled,
-                        _scaled_building, _scaled_reduced, _spine_scaled)
+from .buildings import (Word, positive_words, _MIDDLE_BOUND, _as_word,
+                        _check_bound, _interval_scaled, _scaled_building,
+                        _scaled_reduced, _spine_scaled)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, automorphisms, has_directed_triangle
@@ -146,10 +148,12 @@ def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fra
     """Exact ``sum_{W in V^k} B(x W y)``, one interval DP per middle.
 
     Middles that break the positive chain are skipped since their stitched
-    word has building count zero.
+    word has building count zero.  Refused when ``q**k`` exceeds the middle
+    bound.
     """
     if k < 0:
         raise ValueError("gap length must be nonnegative")
+    _check_bound(g.vertex_count, k, _MIDDLE_BOUND, "gap enumeration")
     xw = _as_word(g, x)
     yw = _as_word(g, y)
     for name, w in (("x", xw), ("y", yw)):
@@ -158,6 +162,15 @@ def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fra
     n_total = len(xw) + k + len(yw)
     return Fraction(_gap_sum_scaled(g, xw, yw, k),
                     g._den ** (2 * n_total - 2))
+
+
+def _check_window(g: WeightedGraph, max_left: int, max_right: int) -> int:
+    """Validate a window; returns the consistency window it needs."""
+    if max_left < 1 or max_right < 1:
+        raise ValueError("window bounds must be at least 1")
+    need = max(max_left, max_right) + 1
+    _check_bound(g.vertex_count, need)
+    return need
 
 
 def _auts_for(g: WeightedGraph, use_symmetry: bool) -> tuple[tuple[int, ...], ...]:
@@ -195,12 +208,13 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     additionally the first few zero-weight left words are spot-checked to
     yield gap sum zero.  The counterexample, when one exists, is the
     lexicographically least failing pair at the first failing window cell.
+    Refused when ``q**(max(max_left, max_right) + 1)`` exceeds the
+    enumeration bound or ``q**k`` the middle bound.
     """
     if k < 0:
         raise ValueError("gap length must be nonnegative")
-    if max_left < 1 or max_right < 1:
-        raise ValueError("window bounds must be at least 1")
-    need = max(max_left, max_right) + 1
+    need = _check_window(g, max_left, max_right)
+    _check_bound(g.vertex_count, k, _MIDDLE_BOUND, "gap enumeration")
     if consistency is None:
         consistency = check_consistency(g, need)
     if not consistency.verified:
@@ -233,7 +247,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
         if not ys0:
             break
         found = 0
-        for word in _iter_words_lex(g, n):
+        for word in product(range(g.vertex_count), repeat=n):
             if found >= zero_pair_samples:
                 break
             if _spine_scaled(g, word) != 0:
@@ -300,22 +314,6 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     return DependenceReport(k, max_left, max_right, constants, None, zero_checked)
 
 
-def _iter_words_lex(g: WeightedGraph, n: int) -> Iterator[Word]:
-    """All words of length ``n`` in lexicographic order (not just positive ones)."""
-    q = g.vertex_count
-    word = [0] * n
-
-    def rec(depth: int) -> Iterator[Word]:
-        if depth == n:
-            yield tuple(word)
-            return
-        for v in range(q):
-            word[depth] = v
-            yield from rec(depth + 1)
-
-    yield from rec(0)
-
-
 @dataclass(frozen=True)
 class MinKResult:
     """Outcome of the minimal-gap search."""
@@ -329,11 +327,14 @@ def min_k_search(g: WeightedGraph, max_k: int, max_left: int = 4,
     """Smallest gap ``k <= max_k`` passing :func:`check_k_dependence`.
 
     Every gap from 0 to ``max_k`` is checked independently until one
-    verifies; no monotonicity is assumed.
+    verifies; no monotonicity is assumed.  The bounds of
+    :func:`check_k_dependence` are enforced at ``max_k`` before any gap runs.
     """
     if max_k < 0:
         raise ValueError("gap bound must be nonnegative")
-    consistency = check_consistency(g, max(max_left, max_right) + 1)
+    need = _check_window(g, max_left, max_right)
+    _check_bound(g.vertex_count, max_k, _MIDDLE_BOUND, "gap enumeration")
+    consistency = check_consistency(g, need)
     if not consistency.verified:
         cx = consistency.counterexample
         raise ConsistencyNotVerified(

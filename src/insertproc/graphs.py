@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 WeightLike = Union[int, str, Fraction]
@@ -84,7 +85,8 @@ class WeightedGraph:
             for w in row:
                 den = lcm(den, w.denominator)
         self._den = den
-        self._num = tuple(tuple(int(w * den) for w in row) for row in self._rows)
+        self._num = tuple(tuple(w.numerator * (den // w.denominator) for w in row)
+                          for row in self._rows)
         self._out = tuple(tuple(j for j in range(n) if self._num[i][j] > 0)
                           for i in range(n))
         self._in = tuple(tuple(i for i in range(n) if self._num[i][j] > 0)
@@ -96,16 +98,34 @@ class WeightedGraph:
     def from_weights(cls, vertex_count: int,
                      weights: Mapping[tuple[int, int], WeightLike]
                      | Iterable[tuple[int, int, WeightLike]]) -> "WeightedGraph":
-        """Build a graph from a sparse weight specification; missing pairs are 0."""
+        """Build a graph from a sparse weight specification; missing pairs are 0.
+
+        Vertex indices may be any integers, numpy integers included, but
+        not bools; a pair given twice is refused.  The weights are placed
+        as given and parsed by the constructor.
+        """
         if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        rows = [[Fraction(0)] * vertex_count for _ in range(vertex_count)]
+        rows: list[list[WeightLike]] = [[0] * vertex_count
+                                        for _ in range(vertex_count)]
         items = weights.items() if isinstance(weights, Mapping) else (
             ((i, j), w) for i, j, w in weights)
+        seen = set()
         for (i, j), w in items:
-            if not (0 <= i < vertex_count and 0 <= j < vertex_count):
+            try:
+                # bools are an int subclass and would index as 0 and 1
+                if isinstance(i, bool) or isinstance(j, bool):
+                    raise TypeError
+                a, b = index(i), index(j)
+            except TypeError:
+                raise ValueError(
+                    f"vertex pair ({i!r}, {j!r}) has non-integer vertices") from None
+            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"vertex pair ({i}, {j}) out of range")
-            rows[i][j] = _as_weight(w)
+            if (a, b) in seen:
+                raise ValueError(f"duplicate weight entry for pair ({i}, {j})")
+            seen.add((a, b))
+            rows[a][b] = w
         return cls(rows)
 
     def weight(self, i: int, j: int) -> Fraction:
@@ -473,7 +493,12 @@ def graph_to_json_dict(g: WeightedGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> WeightedGraph:
-    """Parse the JSON graph format, validating indices and exact rationals."""
+    """Parse the JSON graph format.
+
+    Only the document's shape and its JSON-specific weight types are
+    checked here; indices and weights are validated by
+    :meth:`WeightedGraph.from_weights` and the constructor.
+    """
     if not isinstance(data, dict):
         raise ValueError("graph document must be a JSON object")
     try:
@@ -486,20 +511,14 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         raise ValueError("'vertices' must be a positive integer")
     if not isinstance(entries, list):
         raise ValueError("'weights' must be a list of [i, j, weight] triples")
-    pairs: dict[tuple[int, int], Fraction] = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValueError(f"weight entry {entry!r} is not an [i, j, weight] triple")
-        i, j, w = entry
-        if not (type(i) is int and type(j) is int):
-            raise ValueError(f"weight entry {entry!r} has non-integer vertices")
+        w = entry[2]
         if isinstance(w, (bool, float)):
             raise ValueError(f"weight entry {entry!r} uses a {type(w).__name__}; "
                              f"use an exact 'p/q' string")
-        if (i, j) in pairs:
-            raise ValueError(f"duplicate weight entry for pair ({i}, {j})")
-        pairs[(i, j)] = _as_weight(w)
-    return WeightedGraph.from_weights(n, pairs)
+    return WeightedGraph.from_weights(n, entries)
 
 
 def save_graph(g: WeightedGraph, path) -> None:

@@ -10,6 +10,12 @@ complete multipartite graphs; :func:`insertion_marginal_gap` reports their
 exact total-variation distance on any graph rather than assuming
 agreement.
 
+Bounds: :func:`marginal`, :func:`sample_exact` and :func:`insertion_law`
+enumerate words of the window and are refused, at entry, when ``q**n``
+exceeds the enumeration bound of :mod:`insertproc.buildings`;
+:func:`sample_insertion` grows one word and enumerates nothing, so its
+window is unbounded.
+
 Randomness contract: all samplers consume a Mersenne Twister stream
 (:class:`random.Random`) seeded with the given integer, and convert each
 64-bit draw into an index by exact integer arithmetic against the rational
@@ -28,7 +34,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .buildings import Word, BuildOrder, positive_words, _scaled_building
+from .buildings import (Word, BuildOrder, positive_words, _check_bound,
+                        _scaled_building)
 from .graphs import WeightedGraph
 
 __all__ = [
@@ -44,9 +51,6 @@ __all__ = [
     "insertion_marginal_gap",
     "empirical_gap_independence",
 ]
-
-_DEFAULT_ENUMERATION_BOUND = 10 ** 7
-
 
 class DeadEndError(RuntimeError):
     """Raised when every candidate insertion has weight zero."""
@@ -82,33 +86,32 @@ class SampleBatch:
         return "\n".join(json.dumps(list(w)) for w in self.words)
 
 
-def _scaled_masses(g: WeightedGraph, n: int,
-                   max_enumeration: int) -> dict[Word, int]:
+def _check_window(g: WeightedGraph, n: int) -> None:
+    if n < 1:
+        raise ValueError("window length must be at least 1")
+    _check_bound(g.vertex_count, n)
+
+
+def _scaled_masses(g: WeightedGraph, n: int) -> dict[Word, int]:
     """Positive scaled building counts ``B * D^(2n-2)`` of the length-``n`` words.
 
     Enumerates positive-weight words only: ``B = w * R`` and ``R >= 1``
     (the left-to-right arrival order adds no other link), so exactly these
-    words have positive building count.  Rejected when ``q**n`` exceeds
-    ``max_enumeration``.
+    words have positive building count.
     """
-    if g.vertex_count ** n > max_enumeration:
-        raise ValueError(
-            f"enumeration bound exceeded: {g.vertex_count}**{n} > {max_enumeration}")
     masses = {w: _scaled_building(g, w) for w in positive_words(g, n)}
     if not masses:
         raise ValueError("no word of this length has positive building count")
     return masses
 
 
-def marginal(g: WeightedGraph, n: int,
-             max_enumeration: int = _DEFAULT_ENUMERATION_BOUND) -> Marginal:
+def marginal(g: WeightedGraph, n: int) -> Marginal:
     """Exact length-``n`` marginal of the insertion process.
 
-    Rejected when ``q**n`` exceeds ``max_enumeration``.
+    Refused when ``q**n`` exceeds the enumeration bound.
     """
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    masses = _scaled_masses(g, n, max_enumeration)
+    _check_window(g, n)
+    masses = _scaled_masses(g, n)
     total = sum(masses.values())
     table = {w: Fraction(v, total) for w, v in masses.items()}
     return Marginal(n, table, Fraction(total, g._den ** (2 * n - 2)))
@@ -155,14 +158,15 @@ def _draw_index(rng: random.Random, cumulative: list[int], total: int) -> int:
 def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch:
     """IID draws from the exact marginal, deterministic given the seed.
 
-    Rejected, as :func:`marginal` is, when ``q**n`` exceeds the enumeration
-    bound.
+    Refused, as :func:`marginal` is, when ``q**n`` exceeds the enumeration
+    bound, also for an empty batch.
     """
     if count < 0:
         raise ValueError("sample count must be nonnegative")
+    _check_window(g, n)
     if count == 0:
         return SampleBatch(g, n, seed, ())
-    masses = _scaled_masses(g, n, _DEFAULT_ENUMERATION_BOUND)
+    masses = _scaled_masses(g, n)
     words = list(masses)
     cumulative = list(accumulate(masses.values()))
     rng = random.Random(seed)
@@ -171,18 +175,20 @@ def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch
     return SampleBatch(g, n, seed, out)
 
 
-def _insertion_candidates(g: WeightedGraph, word: list[int]) -> tuple[list[tuple[int, int, int]], int]:
+def _insertion_candidates(g: WeightedGraph, word: list[int]
+                          ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """Candidate (location, vertex, scaled weight) triples for one insertion.
 
-    Weights are scaled to the common denominator squared so that end
-    insertions (one edge factor) and interior insertions (two factors) are
-    comparable integers.  The empty word admits every vertex with equal
-    weight.
+    Returned with the running totals of their weights.  Weights are scaled
+    to the common denominator squared so that end insertions (one edge
+    factor) and interior insertions (two factors) are comparable integers.
+    The empty word admits every vertex with equal weight.
     """
     num = g._num
     den = g._den
     i = len(word)
     cands: list[tuple[int, int, int]] = []
+    cumulative: list[int] = []
     total = 0
     for j in range(i + 1):
         for v in range(g.vertex_count):
@@ -195,7 +201,8 @@ def _insertion_candidates(g: WeightedGraph, word: list[int]) -> tuple[list[tuple
             wgt = left * right
             cands.append((j, v, wgt))
             total += wgt
-    return cands, total
+            cumulative.append(total)
+    return cands, cumulative
 
 
 def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOrder]:
@@ -213,20 +220,11 @@ def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOr
     word: list[int] = []
     arrival: list[int] = []
     for step in range(n):
-        cands, total = _insertion_candidates(g, word)
-        if total == 0:
+        cands, cumulative = _insertion_candidates(g, word)
+        if not cands:
             raise DeadEndError(
                 f"no insertion has positive weight at length {step}")
-        u = rng.getrandbits(64)
-        target = u * total
-        running = 0
-        chosen = cands[-1]
-        for cand in cands:
-            running += cand[2]
-            if running << 64 > target:
-                chosen = cand
-                break
-        j, v, _ = chosen
+        j, v, _ = cands[_draw_index(rng, cumulative, cumulative[-1])]
         word.insert(j, v)
         arrival.insert(j, step)
     order = [0] * n
@@ -239,18 +237,20 @@ def insertion_law(g: WeightedGraph, n: int) -> dict[Word, Fraction]:
     """Exact distribution of :func:`sample_insertion` outputs at length ``n``.
 
     Dynamic program over growing words; probabilities are exact rationals
-    summing to one.
+    summing to one.  Refused when ``q**n`` exceeds the enumeration bound.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
+    _check_bound(g.vertex_count, n)
     states: dict[Word, Fraction] = {(): Fraction(1)}
     for _ in range(n):
         nxt: dict[Word, Fraction] = {}
         for word, prob in states.items():
-            cands, total = _insertion_candidates(g, list(word))
-            if total == 0:
+            cands, cumulative = _insertion_candidates(g, list(word))
+            if not cands:
                 raise DeadEndError(
                     f"no insertion has positive weight from word {word}")
+            total = cumulative[-1]
             for j, v, wgt in cands:
                 child = word[:j] + (v,) + word[j:]
                 nxt[child] = nxt.get(child, Fraction(0)) + prob * Fraction(wgt, total)

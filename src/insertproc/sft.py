@@ -43,7 +43,8 @@ class ShiftOfFiniteType:
     """Alphabet size, window length and the allowed window set.
 
     Construction enforces looplessness (no constant window) and a
-    nonempty allowed set.
+    nonempty allowed set.  ``allowed`` may be given as any iterable of
+    windows; each is validated, and only then is the set formed.
     """
 
     q: int
@@ -58,9 +59,11 @@ class ShiftOfFiniteType:
             raise ValueError("alphabet size must be positive")
         if self.n < 1:
             raise ValueError("window length must be positive")
-        if not self.allowed:
+        # checked before the set is formed, where (0, True) would merge into (0, 1)
+        windows = [tuple(t) for t in self.allowed]
+        if not windows:
             raise ValueError("allowed window set must be nonempty")
-        for t in self.allowed:
+        for t in windows:
             if len(t) != self.n:
                 raise ValueError(f"window {t!r} does not have length {self.n}")
             if not all(type(s) is int for s in t):
@@ -69,14 +72,14 @@ class ShiftOfFiniteType:
                 raise ValueError(f"window {t!r} has symbols outside the alphabet")
             if len(set(t)) == 1:
                 raise ValueError(f"constant window {t!r} is not allowed")
+        object.__setattr__(self, "allowed", frozenset(windows))
 
     @classmethod
     def from_windows(cls, q: int, windows) -> "ShiftOfFiniteType":
         windows = [tuple(w) for w in windows]
         if not windows:
             raise ValueError("allowed window set must be nonempty")
-        n = len(windows[0])
-        return cls(q, n, frozenset(windows))
+        return cls(q, len(windows[0]), windows)
 
 
 def proper_coloring_windows(q: int) -> ShiftOfFiniteType:
@@ -193,8 +196,6 @@ def sample_sft(s: ShiftOfFiniteType, window: int, seed: int,
     graph and stitches them; requires the extension-count condition with
     ``K >= 1`` so that the marginals exist.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
     report = check_lr(s)
     if not report.is_constant:
         raise ValueError(
@@ -254,19 +255,10 @@ def sft_from_json_dict(data: dict) -> ShiftOfFiniteType:
         allowed = data["allowed"]
     except (KeyError, TypeError) as exc:
         raise ValueError("shift document needs 'q', 'n' and 'allowed'") from exc
-    if not (type(q) is int and type(n) is int):
-        raise ValueError("'q' and 'n' must be integers")
-    if not isinstance(allowed, list):
+    if not (isinstance(allowed, list)
+            and all(isinstance(t, list) for t in allowed)):
         raise ValueError("'allowed' must be a list of windows")
-    windows = []
-    for t in allowed:
-        if not isinstance(t, list) or len(t) != n:
-            raise ValueError(f"window {t!r} is not a list of length {n}")
-        # checked before the set is built, where [0, true] would merge into [0, 1]
-        if not all(type(s) is int for s in t):
-            raise ValueError(f"window {t!r} has non-integer symbols")
-        windows.append(tuple(t))
-    return ShiftOfFiniteType(q, n, frozenset(windows))
+    return ShiftOfFiniteType(q, n, allowed)
 
 
 def save_sft(s: ShiftOfFiniteType, path) -> None:

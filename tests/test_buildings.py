@@ -322,3 +322,12 @@ def test_sweeps_fill_only_the_memo_of_reduced_counts():
     g = complete_graph(3)
     check_k_dependence(g, 2, 2, 2)
     assert not hasattr(g, "_bcache") and g._tcache
+
+
+def test_memo_has_no_size_cap():
+    # sweeps are bounded where they are entered, so the memo keeps every
+    # word however large it has grown
+    g = complete_graph(3)
+    g._tcache.update(dict.fromkeys(range(400_000), 0))
+    marginal(g, 8)
+    assert all(w in g._tcache for w in positive_words(g, 8))

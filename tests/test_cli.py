@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from insertproc import cli
+from insertproc import (check_consistency, check_k_dependence, cli,
+                        complete_graph, marginal, min_k_search, sample_exact)
 from insertproc.cli import main
 from insertproc.fixtures import fixture_names, fixture_text
 
@@ -178,6 +179,87 @@ def test_gap_bound_exit_two(fixture_dir, capsys):
         code = main(argv + ["--graph", str(fixture_dir / "k4.json")])
         assert code == 2, argv
         assert "gap enumeration bound" in capsys.readouterr().err
+
+
+# (argv with "K4" for the K4 fixture, the API call on K4, refused): the
+# refused sizes are past the bounds (4**12 > 10**7 words, 4**9 > 10**5
+# middles), the allowed ones small, so no sweep runs near a bound
+_BOUND_CASES = [
+    (["check-c", "--graph", "K4", "--max-n", "12"],
+     lambda g: check_consistency(g, 12), True),
+    (["check-c", "--graph", "K4", "--max-n", "3"],
+     lambda g: check_consistency(g, 3), False),
+    (["check-kdep", "--graph", "K4", "--k", "1", "--max-n", "11", "--max-m", "1"],
+     lambda g: check_k_dependence(g, 1, 11, 1), True),
+    (["check-kdep", "--graph", "K4", "--k", "9"],
+     lambda g: check_k_dependence(g, 9), True),
+    (["check-kdep", "--graph", "K4", "--k", "1", "--max-n", "2", "--max-m", "2"],
+     lambda g: check_k_dependence(g, 1, 2, 2), False),
+    (["min-k", "--graph", "K4", "--max-k", "1", "--max-n", "1", "--max-m", "11"],
+     lambda g: min_k_search(g, 1, 1, 11), True),
+    (["min-k", "--graph", "K4", "--max-k", "9"],
+     lambda g: min_k_search(g, 9), True),
+    (["min-k", "--graph", "K4", "--max-k", "1", "--max-n", "2", "--max-m", "2"],
+     lambda g: min_k_search(g, 1, 2, 2), False),
+    (["sample", "--graph", "K4", "--window", "12"],
+     lambda g: marginal(g, 12), True),
+    (["sample", "--graph", "K4", "--window", "12", "--count", "0"],
+     lambda g: sample_exact(g, 12, 0, 0), True),
+    (["sample", "--graph", "K4", "--window", "3", "--count", "5"],
+     lambda g: sample_exact(g, 3, 0, 5), False),
+    (["verify-identities", "--max-n", "8"],
+     lambda g: cli.verify_identities(max_len=8), True),
+    (["verify-identities", "--max-n", "3", "--threads", "0"],
+     lambda g: cli.verify_identities(max_len=3, threads=0), True),
+    (["verify-identities", "--max-n", "2"],
+     lambda g: cli.verify_identities(max_len=2), False),
+]
+
+
+@pytest.mark.parametrize("argv, call, refused", _BOUND_CASES,
+                         ids=[" ".join(a) for a, _, _ in _BOUND_CASES])
+def test_api_and_cli_refuse_the_same_inputs(fixture_dir, capsys, argv, call,
+                                            refused):
+    k4 = str(fixture_dir / "k4.json")
+    code = main([k4 if a == "K4" else a for a in argv])
+    capsys.readouterr()
+    try:
+        call(complete_graph(4))
+    except ValueError:
+        api_refused = True
+    else:
+        api_refused = False
+    assert (code == 2) == api_refused == refused
+
+
+def test_sample_insertion_has_no_window_bound(fixture_dir, capsys):
+    # 4**20 words are past the enumeration bound, but this sampler grows
+    # one word and enumerates none
+    code, out = run_cli(["sample", "--graph", str(fixture_dir / "k4.json"),
+                         "--method", "insertion", "--window", "20",
+                         "--count", "3"], capsys)
+    assert code == 0
+    words = [json.loads(line) for line in out.splitlines()]
+    assert len(words) == 3
+    for word in words:
+        assert len(word) == 20
+        assert all(a != b for a, b in zip(word, word[1:]))
+
+
+@pytest.mark.parametrize("method, message", [
+    ("exact", "no word of this length has positive building count"),
+    ("insertion", "no insertion has positive weight"),
+])
+def test_edgeless_sample_exit_two(tmp_path, capsys, method, message):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"vertices": 2, "weights": []}))
+    code = main(["sample", "--graph", str(path), "--window", "3",
+                 "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("name, doc, argv", [

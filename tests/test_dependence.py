@@ -39,6 +39,8 @@ def test_gap_sum_validation():
     with pytest.raises(ValueError, match="bool"):
         gap_sum(K4, (True,), (1,), 1)
     assert gap_sum(K4, np.array([0]), (np.int64(1),), 1) == 12
+    with pytest.raises(ValueError, match="gap enumeration bound"):
+        gap_sum(K4, (0,), (1,), 9)
 
 
 def test_witness_rechecked_by_the_interval_dp(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from insertproc import (WeightedGraph, automorphisms, block_projection,
@@ -302,3 +303,26 @@ def test_json_errors():
 def test_json_rejects_bools(doc, message):
     with pytest.raises(ValueError, match=message):
         graph_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("weights", [
+    {(True, False): 1},
+    [(0, True, 1)],
+    {(0.0, 1): 1},
+    [("0", 1, 1)],
+])
+def test_from_weights_rejects_non_integer_indices(weights):
+    # True and False would otherwise index as 1 and 0
+    with pytest.raises(ValueError, match="non-integer vertices"):
+        WeightedGraph.from_weights(2, weights)
+
+
+def test_from_weights_accepts_numpy_indices():
+    g = WeightedGraph.from_weights(2, {(np.int64(0), np.int32(1)): "3/2"})
+    assert g.weight(0, 1) == Fraction(3, 2)
+    assert g == WeightedGraph.from_weights(2, [(0, 1, Fraction(3, 2))])
+
+
+def test_from_weights_rejects_duplicate_triples():
+    with pytest.raises(ValueError, match="duplicate"):
+        WeightedGraph.from_weights(2, [(0, 1, 1), (1, 0, 1), (0, 1, 2)])

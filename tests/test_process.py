@@ -40,7 +40,7 @@ def test_marginal_support_is_positive_walks():
 
 def test_marginal_bound():
     with pytest.raises(ValueError):
-        marginal(complete_graph(6), 12, max_enumeration=10 ** 6)
+        marginal(complete_graph(6), 12)
 
 
 def test_sample_exact_bound():
@@ -49,6 +49,22 @@ def test_sample_exact_bound():
         sample_exact(complete_graph(10), 8, 0, 1)
     with pytest.raises(ValueError, match="enumeration bound"):
         sample_sft(proper_coloring_windows(3), 10, 0, 1)
+
+
+def test_window_checked_before_the_empty_batch():
+    with pytest.raises(ValueError, match="window length"):
+        sample_exact(complete_graph(3), 0, 0, 0)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        sample_exact(complete_graph(4), 12, 0, 0)
+    assert sample_exact(complete_graph(4), 11, 0, 0).words == ()
+
+
+def test_insertion_law_bound():
+    with pytest.raises(ValueError, match="enumeration bound"):
+        insertion_law(complete_graph(4), 12)
+    # a huge window is refused without forming q**n
+    with pytest.raises(ValueError, match="enumeration bound"):
+        marginal(complete_graph(3), 10 ** 12)
 
 
 @st.composite
@@ -135,8 +151,8 @@ def test_insertion_step_normalizer_complete_graphs():
                 v = rng.randrange(q)
                 if v != word[-1]:
                     word.append(v)
-            _, total = _insertion_candidates(g, word)
-            assert total == 2 * (q - 1) + (i - 1) * (q - 2)
+            _, cumulative = _insertion_candidates(g, word)
+            assert cumulative[-1] == 2 * (q - 1) + (i - 1) * (q - 2)
 
 
 def test_sample_insertion_trace():

@@ -211,3 +211,12 @@ def test_json_rejects_bools(doc, message):
 def test_validation_rejects_bools(q, n, window, message):
     with pytest.raises(ValueError, match=message):
         ShiftOfFiniteType(q, n, frozenset([window]))
+
+
+def test_from_windows_rejects_bool_symbols():
+    # (0, True) equals (0, 1) and would merge with it once the set is formed
+    with pytest.raises(ValueError, match="non-integer"):
+        ShiftOfFiniteType.from_windows(2, [(0, 1), (0, True), (1, 0)])
+    s = ShiftOfFiniteType(2, 2, [(0, 1), (1, 0), (0, 1)])
+    assert s.allowed == frozenset({(0, 1), (1, 0)})
+    assert s == ShiftOfFiniteType.from_windows(2, [(1, 0), (0, 1)])
