@@ -338,26 +338,34 @@ def _check_bound(q: int, n: int, bound: int = _ENUMERATION_BOUND,
         raise ValueError(f"{what} bound exceeded: {q}**{n} > {bound}")
 
 
-def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
-    """All words of length ``n`` with positive word weight, in lexicographic order."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+def _walks(g: WeightedGraph, n: int, after: int | None = None) -> Iterator[Word]:
+    """Words of length ``n`` with positive word weight, in lexicographic order.
+
+    With ``after``, the first symbol is restricted to its out-neighbours,
+    so the words are the positive chains that continue ``after``.
+    """
     if n == 0:
         yield ()
         return
     out = g._out
     word = [0] * n
 
-    def rec(depth: int) -> Iterator[Word]:
+    def rec(depth: int, choices: Sequence[int]) -> Iterator[Word]:
         if depth == n:
             yield tuple(word)
             return
-        choices = range(g.vertex_count) if depth == 0 else out[word[depth - 1]]
         for v in choices:
             word[depth] = v
-            yield from rec(depth + 1)
+            yield from rec(depth + 1, out[v])
 
-    yield from rec(0)
+    yield from rec(0, range(g.vertex_count) if after is None else out[after])
+
+
+def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
+    """All words of length ``n`` with positive word weight, in lexicographic order."""
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+    return _walks(g, n)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ All commands read and write JSON; reports are deterministic functions of
 the flags (keys sorted, no timestamps), so identical invocations produce
 byte-identical output.  Exit status: 0 on success or verified, 1 when a
 counterexample or violation was found (the report carries the witness),
-2 on usage, parse or bound errors.
+2 on usage, parse or bound errors and when ``--out`` cannot be written.
 """
 
 from __future__ import annotations
@@ -327,8 +327,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         text = json.dumps(report, sort_keys=True,
                           indent=2 if args.pretty else None) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

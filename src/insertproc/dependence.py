@@ -9,28 +9,31 @@ process is k-dependent exactly when there are positive constants
 for all words ``x`` of length ``n`` and ``y`` of length ``m``.  The checker
 enumerates positive-weight words within a window, anchors each constant at
 the lexicographically least positive pair, and compares every other pair
-by exact integer cross-multiplication.
+by exact integer cross-multiplication.  Pairs with a zero-weight word hold
+trivially: every building links every consecutive pair, so each of their
+stitched words has building count zero.
 
-Left words are reduced modulo weight-preserving vertex relabelings (the
-identity is invariant under them), and each stitched count is taken as
-``w(x W y) * R(x W y)`` on the per-graph reduced-count memo, which the
-sweep over all right words and middles shares.  A reported
-counterexample is re-canonicalized to the lexicographically least failing
-pair, so reports do not depend on the symmetry reduction, and its lhs is
-recomputed by the interval DP of :mod:`insertproc.buildings` before it is
-emitted.  A single gap sum (:func:`gap_sum`) runs the interval DP alone.
+One loop sums a pair over its middles, with either route to a building
+count.  In the sweep, left words are reduced modulo weight-preserving
+vertex relabelings (the identity is invariant under them), and each
+stitched count is taken as ``w(x W y) * R(x W y)`` on the per-graph
+reduced-count memo, which the sweep over all right words and middles
+shares.  A reported counterexample is re-canonicalized to the
+lexicographically least failing pair, so reports do not depend on the
+symmetry reduction, and its lhs is recomputed by the interval DP of
+:mod:`insertproc.buildings` before it is emitted.  A single gap sum
+(:func:`gap_sum`) and each constant's anchor run the interval DP alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .buildings import (Word, positive_words, _MIDDLE_BOUND, _as_word,
                         _check_bound, _interval_scaled, _scaled_building,
-                        _scaled_reduced, _spine_scaled)
+                        _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, automorphisms, has_directed_triangle
@@ -73,7 +76,6 @@ class DependenceReport:
     max_right: int
     constants: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     counterexample: Optional[DependenceCounterexample] = None
-    zero_pairs_checked: int = 0
 
     @property
     def verified(self) -> bool:
@@ -98,49 +100,24 @@ class DependenceReport:
             "constants": {f"{n},{m}": str(c)
                           for (n, m), c in sorted(self.constants.items())},
             "counterexample": cx,
-            "zero_pairs_checked": self.zero_pairs_checked,
         }
 
 
-def _middles_from(g: WeightedGraph, start: int, k: int) -> Iterator[Word]:
-    """Middle words of length ``k`` forming a positive chain out of ``start``."""
-    if k == 0:
-        yield ()
-        return
-    out = g._out
-    word = [0] * k
+def _middle_sum(g: WeightedGraph, x: Word, y: Word, k: int,
+                count: Callable[[WeightedGraph, Word], int]) -> int:
+    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, one ``count`` per middle.
 
-    def rec(depth: int, prev: int) -> Iterator[Word]:
-        if depth == k:
-            yield tuple(word)
-            return
-        for v in out[prev]:
-            word[depth] = v
-            yield from rec(depth + 1, v)
-
-    yield from rec(0, start)
-
-
-def _gap_sum_scaled(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
-    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, by the interval DP."""
+    ``count`` is either route to a scaled building count: the interval DP
+    or ``w * R`` on the memo.  Middles run over the positive chains out of
+    ``x``; one whose last symbol has zero weight to ``y[0]`` is skipped,
+    since its stitched word has building count zero.
+    """
     num = g._num
+    first = y[0]
     total = 0
-    for mid in _middles_from(g, x[-1], k):
-        end = mid[-1] if mid else x[-1]
-        if num[end][y[0]] == 0:
-            continue
-        total += _interval_scaled(g, x + mid + y)
-    return total
-
-
-def _lhs_scaled(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
-    """The same sum as :func:`_gap_sum_scaled`, as ``w * R`` on the memo."""
-    total = 0
-    for mid in _middles_from(g, x[-1], k):
-        w = x + mid + y
-        spine = _spine_scaled(g, w)
-        if spine:
-            total += spine * _scaled_reduced(g, w)
+    for mid in _walks(g, k, x[-1]):
+        if num[mid[-1] if mid else x[-1]][first]:
+            total += count(g, x + mid + y)
     return total
 
 
@@ -160,7 +137,7 @@ def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fra
         if not w:
             raise ValueError(f"{name} must have length at least 1")
     n_total = len(xw) + k + len(yw)
-    return Fraction(_gap_sum_scaled(g, xw, yw, k),
+    return Fraction(_middle_sum(g, xw, yw, k, _interval_scaled),
                     g._den ** (2 * n_total - 2))
 
 
@@ -197,16 +174,18 @@ def _orbit_reps(words: list[Word],
 
 def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                        max_right: int = 4, *, use_symmetry: bool = True,
-                       consistency: Optional[ConsistencyReport] = None,
-                       zero_pair_samples: int = 5) -> DependenceReport:
+                       consistency: Optional[ConsistencyReport] = None
+                       ) -> DependenceReport:
     """Check the gap-``k`` factorization identity on a bounded window.
 
     Requires extension consistency verified up to
     ``max(max_left, max_right) + 1`` (the identity presupposes the
     stationary process); pass a precomputed report via ``consistency`` to
-    skip re-verification.  Positive-weight pairs are checked exactly;
-    additionally the first few zero-weight left words are spot-checked to
-    yield gap sum zero.  The counterexample, when one exists, is the
+    skip re-verification; a report that fails raises
+    :class:`ConsistencyNotVerified`.  Positive-weight pairs are checked
+    exactly.  Zero-weight pairs need no check: every building links every
+    consecutive pair, so a zero-weight ``x`` or ``y`` gives every stitched
+    word building count zero.  The counterexample, when one exists, is the
     lexicographically least failing pair at the first failing window cell.
     Refused when ``q**(max(max_left, max_right) + 1)`` exceeds the
     enumeration bound or ``q**k`` the middle bound.
@@ -239,30 +218,6 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     constants: dict[tuple[int, int], Fraction] = {}
     scale_c = den ** (2 * k + 2)
 
-    zero_checked = 0
-    for n in range(1, max_left + 1):
-        if zero_pair_samples <= 0:
-            break
-        ys0 = words_of(1)
-        if not ys0:
-            break
-        found = 0
-        for word in product(range(g.vertex_count), repeat=n):
-            if found >= zero_pair_samples:
-                break
-            if _spine_scaled(g, word) != 0:
-                continue
-            found += 1
-            zero_checked += 1
-            if _gap_sum_scaled(g, word, ys0[0], k) != 0:
-                lhs = Fraction(_gap_sum_scaled(g, word, ys0[0], k),
-                               den ** (2 * (n + k + 1) - 2))
-                return DependenceReport(
-                    k, max_left, max_right, constants,
-                    DependenceCounterexample(word, ys0[0], lhs, Fraction(0),
-                                             "zero-weight-word"),
-                    zero_checked)
-
     for n in range(1, max_left + 1):
         xs = words_of(n)
         if not xs:
@@ -273,7 +228,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             if not ys:
                 continue
             x0, y0 = xs[0], ys[0]
-            lhs0 = _gap_sum_scaled(g, x0, y0, k)
+            lhs0 = _middle_sum(g, x0, y0, k, _interval_scaled)
             b_x0 = _scaled_building(g, x0)
             b_y0 = _scaled_building(g, y0)
             constants[(n, m)] = Fraction(lhs0, b_x0 * b_y0 * scale_c)
@@ -281,15 +236,15 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                 return DependenceReport(
                     k, max_left, max_right, constants,
                     DependenceCounterexample(
-                        x0, y0, Fraction(0), None, "zero-constant"),
-                    zero_checked)
+                        x0, y0, Fraction(0), None, "zero-constant"))
             b_ys = [_scaled_building(g, y) for y in ys]
             anchor = b_x0 * b_y0
             failing: list[tuple[Word, Word]] = []
             for x in x_reps:
                 rhs_factor = lhs0 * _scaled_building(g, x)
                 for y, b_y in zip(ys, b_ys):
-                    if _lhs_scaled(g, x, y, k) * anchor != rhs_factor * b_y:
+                    lhs = _middle_sum(g, x, y, k, _scaled_building)
+                    if lhs * anchor != rhs_factor * b_y:
                         failing.append((x, y))
             if failing:
                 expanded = []
@@ -298,7 +253,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                         expanded.append((tuple(p[s] for s in xw),
                                          tuple(p[s] for s in yw)))
                 xw, yw = min(expanded)
-                lhs = Fraction(_gap_sum_scaled(g, xw, yw, k),
+                lhs = Fraction(_middle_sum(g, xw, yw, k, _interval_scaled),
                                den ** (2 * (n + k + m) - 2))
                 expected = (constants[(n, m)]
                             * Fraction(_scaled_building(g, xw), den ** (2 * n - 2))
@@ -309,9 +264,8 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                         f"but the interval DP gives lhs == expected == {lhs}")
                 return DependenceReport(
                     k, max_left, max_right, constants,
-                    DependenceCounterexample(xw, yw, lhs, expected),
-                    zero_checked)
-    return DependenceReport(k, max_left, max_right, constants, None, zero_checked)
+                    DependenceCounterexample(xw, yw, lhs, expected))
+    return DependenceReport(k, max_left, max_right, constants, None)
 
 
 @dataclass(frozen=True)
@@ -329,16 +283,14 @@ def min_k_search(g: WeightedGraph, max_k: int, max_left: int = 4,
     Every gap from 0 to ``max_k`` is checked independently until one
     verifies; no monotonicity is assumed.  The bounds of
     :func:`check_k_dependence` are enforced at ``max_k`` before any gap runs.
+    Consistency is verified once and its report passed to every gap, so a
+    failure raises :class:`ConsistencyNotVerified` as that function does.
     """
     if max_k < 0:
         raise ValueError("gap bound must be nonnegative")
     need = _check_window(g, max_left, max_right)
     _check_bound(g.vertex_count, max_k, _MIDDLE_BOUND, "gap enumeration")
     consistency = check_consistency(g, need)
-    if not consistency.verified:
-        cx = consistency.counterexample
-        raise ConsistencyNotVerified(
-            f"extension consistency fails at word {cx.word} ({cx.side} side)")
     reports: dict[int, DependenceReport] = {}
     for k in range(0, max_k + 1):
         report = check_k_dependence(g, k, max_left, max_right,

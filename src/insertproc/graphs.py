@@ -101,9 +101,12 @@ class WeightedGraph:
         """Build a graph from a sparse weight specification; missing pairs are 0.
 
         Vertex indices may be any integers, numpy integers included, but
-        not bools; a pair given twice is refused.  The weights are placed
-        as given and parsed by the constructor.
+        neither they nor the vertex count may be bools; a pair given twice
+        is refused.  The weights are placed as given and parsed by the
+        constructor.
         """
+        if isinstance(vertex_count, bool):
+            raise ValueError(f"vertex count {vertex_count!r} is a bool")
         if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
         rows: list[list[WeightLike]] = [[0] * vertex_count
@@ -129,7 +132,9 @@ class WeightedGraph:
         return cls(rows)
 
     def weight(self, i: int, j: int) -> Fraction:
-        """Exact weight of the ordered pair ``(i, j)``."""
+        """Exact weight of the ordered pair ``(i, j)``; bools are not vertices."""
+        if isinstance(i, bool) or isinstance(j, bool):
+            raise ValueError(f"vertex pair ({i!r}, {j!r}) has non-integer vertices")
         if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
             raise ValueError(f"vertex pair ({i}, {j}) out of range")
         return self._rows[i][j]

@@ -110,9 +110,6 @@ def de_bruijn(s: ShiftOfFiniteType) -> WeightedGraph:
             j = index.get(other)
             if j is not None:
                 pairs[(index[w], j)] = 1
-    if not pairs:
-        # a graph must exist even when no windows chain together
-        return WeightedGraph.from_weights(len(windows), {})
     return WeightedGraph.from_weights(len(windows), pairs)
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from insertproc import (check_consistency, check_k_dependence, cli,
-                        complete_graph, marginal, min_k_search, sample_exact)
+                        complete_graph, graph_to_json_dict, kite_graph,
+                        marginal, min_k_search, sample_exact)
 from insertproc.cli import main
 from insertproc.fixtures import fixture_names, fixture_text
 
@@ -330,6 +331,35 @@ def test_report_determinism(fixture_dir, tmp_path, capsys):
                      "--max-n", "4", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_unwritable_out_exit_two(fixture_dir, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["check-c", "--graph", str(fixture_dir / "k3.json"),
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+    assert len(captured.err.splitlines()) == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("graph", [kite_graph(), complete_graph(3, 2)],
+                         ids=["kite", "K3-weight-2"])
+def test_min_k_and_check_kdep_report_the_same_consistency_failure(
+        tmp_path, capsys, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_json_dict(graph)))
+    code, out = run_cli(["min-k", "--graph", str(path), "--max-k", "2",
+                         "--max-n", "3", "--max-m", "3"], capsys)
+    assert code == 1
+    failure = json.loads(out)["consistency_failure"]
+    code, out = run_cli(["check-kdep", "--graph", str(path), "--k", "1",
+                         "--max-n", "3", "--max-m", "3"], capsys)
+    assert code == 1
+    assert json.loads(out)["consistency_failure"] == failure
+    assert " != " in failure
 
 
 def test_pretty_flag(fixture_dir, capsys):

@@ -317,6 +317,20 @@ def test_from_weights_rejects_non_integer_indices(weights):
         WeightedGraph.from_weights(2, weights)
 
 
+def test_weight_rejects_bool_vertices():
+    g = complete_graph(3)
+    for i, j in ((True, False), (0, True), (False, 1)):
+        with pytest.raises(ValueError, match="non-integer vertices"):
+            g.weight(i, j)
+    assert g.weight(np.int64(1), 0) == 1
+
+
+def test_from_weights_rejects_bool_vertex_count():
+    for count in (True, False):
+        with pytest.raises(ValueError, match="bool"):
+            WeightedGraph.from_weights(count, {})
+
+
 def test_from_weights_accepts_numpy_indices():
     g = WeightedGraph.from_weights(2, {(np.int64(0), np.int32(1)): "3/2"})
     assert g.weight(0, 1) == Fraction(3, 2)
