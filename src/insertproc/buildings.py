@@ -22,22 +22,29 @@ the kernels return scaled integer values (``B * D^(2n-2)`` and
 
 Two exact kernels serve two call patterns:
 
-* **One word** (:func:`building_count`, :func:`reduced_count` and the gap
-  sums of :mod:`insertproc.dependence`) runs the *first-arrival interval
-  DP*.  Frame the word as ``s = ⊥ x ⊥`` with absent-flank sentinels at
-  positions ``0`` and ``n+1``.  The first arrival ``p`` strictly inside an
-  interval ``(i, j)`` whose flanks are present links to both flanks and
-  splits the interval into two sides built independently, whose arrivals
-  interleave in ``C(j-i-2, p-i-1)`` ways::
+* **One chart** (:func:`building_count`, :func:`reduced_count`, and the
+  gap sums of :mod:`insertproc.dependence`) runs the *first-arrival
+  interval DP*.  Each position carries the tuple of symbols it may take:
+  one for a fixed position, every vertex for a free one; the chart sums
+  the count over every word those tuples spell.  Frame the word as
+  ``⊥ x ⊥`` with absent-flank sentinels at positions ``0`` and ``n+1``.
+  The first arrival ``p`` strictly inside an interval ``(i, j)`` whose
+  flanks are present links to both flanks and splits the interval into
+  two sides built independently, whose arrivals interleave in
+  ``C(j-i-2, p-i-1)`` ways.  The sides share only the symbol ``c`` at
+  ``p``, so with flank symbols ``a`` at ``i`` and ``b`` at ``j``::
 
-      F(i, i+1) = 1
-      F(i, j)   = sum_p C(j-i-2, p-i-1) a(i,p) a(p,j) F(i,p) F(p,j)
+      F(i,a, i+1,b) = 1
+      F(i,a, j,b)   = sum_{p, c} C(j-i-2, p-i-1) H(i,a, p,c) H(p,c, j,b)
+      H(i,a, j,b)   = l(a, b) F(i,a, j,b)
 
-  where ``a`` is the scaled pair weight, ``D`` at a sentinel, and for
+  where ``l`` is the scaled pair weight, ``D`` at a sentinel, and for
   ``R`` also ``D`` on consecutive pairs.  Then
   ``B D^(2n-2) = F(0,n+1) / D^2`` and ``R D^(n-1) = F(0,n+1) / D^(n+1)``,
-  both exact.  This costs O(n^3) integer operations and keeps no state
-  between calls, so a cold word of length 60 costs milliseconds.
+  both exact.  This costs O(S^3) integer operations for ``S`` states
+  (positions times their symbols) and keeps no state between calls: a
+  cold fixed word of length 60 costs milliseconds, and ``k`` free middle
+  positions cost a polynomial in ``k q`` instead of ``q**k`` charts.
 * **Every word of a length** (the marginals and exact sampler of
   :mod:`insertproc.process`, the consistency and k-dependence sweeps, and
   :func:`recurrence_sweep`) runs the one memoized kernel: the deletion
@@ -45,7 +52,7 @@ Two exact kernels serve two call patterns:
   as ``w * R``.  In a sweep every child of a word was already counted, so
   each word costs O(n) cache lookups; the interval DP would redo O(n^3)
   work per word and is measurably slower there.  On a single cold word
-  the memo touches up to ``2^n`` subwords, which is why single words do
+  the memo touches up to ``2^n`` subwords, which is why single charts do
   not use it.
 """
 
@@ -53,11 +60,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from itertools import accumulate, permutations
+from math import factorial, prod
 from operator import index, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -123,13 +131,7 @@ def _as_order(order: Sequence[int], n: int) -> BuildOrder:
 def word_weight(g: WeightedGraph, word: Sequence[int]) -> Fraction:
     """Product of consecutive-pair weights; 1 for words of length <= 1."""
     w = _as_word(g, word)
-    out = Fraction(1)
-    for a, b in zip(w, w[1:]):
-        wa = g.weight(a, b)
-        if wa == 0:
-            return Fraction(0)
-        out *= wa
-    return out
+    return prod((g.weight(a, b) for a, b in zip(w, w[1:])), start=Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,23 @@ class ConstraintGraph:
         return tuple(sorted((t, h) for t, h, _ in self.edges))
 
     def total_weight(self) -> Fraction:
-        out = Fraction(1)
-        for _, _, w in self.edges:
-            out *= w
-        return out
+        return prod((w for _, _, w in self.edges), start=Fraction(1))
+
+
+def _links(order: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Position pairs linked by an arrival order, in arrival order.
+
+    Each arriving position links to the nearest present position on its
+    left, then on its right; every pair is yielded as ``(left, right)``.
+    """
+    present: list[int] = []
+    for p in order:
+        pos = bisect_left(present, p)
+        if pos > 0:
+            yield present[pos - 1], p
+        if pos < len(present):
+            yield p, present[pos]
+        present.insert(pos, p)
 
 
 def constraint_graph(g: WeightedGraph, word: Sequence[int],
@@ -162,18 +177,8 @@ def constraint_graph(g: WeightedGraph, word: Sequence[int],
     """
     w = _as_word(g, word)
     o = _as_order(order, len(w))
-    present: list[int] = []
-    edges: list[tuple[int, int, Fraction]] = []
-    for p in o:
-        pos = bisect_left(present, p)
-        if pos > 0:
-            left = present[pos - 1]
-            edges.append((left, p, g.weight(w[left], w[p])))
-        if pos < len(present):
-            right = present[pos]
-            edges.append((p, right, g.weight(w[p], w[right])))
-        present.insert(pos, p)
-    return ConstraintGraph(tuple(edges))
+    return ConstraintGraph(tuple((i, j, g.weight(w[i], w[j]))
+                                 for i, j in _links(o)))
 
 
 def building_weight(g: WeightedGraph, word: Sequence[int],
@@ -186,8 +191,10 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int],
                               max_len: int = _BRUTEFORCE_MAX_LEN) -> Fraction:
     """Building count by direct summation over all arrival orders.
 
-    Exponential-time reference oracle; words longer than ``max_len`` are
-    rejected.
+    The orders are grouped by the edge set they link
+    (:func:`constraint_edge_classes`), so each group's product of edge
+    weights is formed once.  Exponential-time reference oracle; words
+    longer than ``max_len`` are rejected.
     """
     w = _as_word(g, word)
     n = len(w)
@@ -196,25 +203,10 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int],
             f"word of length {n} exceeds the brute-force bound {max_len}")
     num = g._num
     den = g._den
-    total = 0
     max_edges = max(0, 2 * n - 3)
-    for order in permutations(range(n)):
-        present: list[int] = []
-        prod = 1
-        edges = 0
-        for p in order:
-            pos = bisect_left(present, p)
-            if pos > 0:
-                prod *= num[w[present[pos - 1]]][w[p]]
-                edges += 1
-            if pos < len(present):
-                prod *= num[w[p]][w[present[pos]]]
-                edges += 1
-            if prod == 0:
-                break
-            present.insert(pos, p)
-        else:
-            total += prod * den ** (max_edges - edges)
+    total = sum(count * den ** (max_edges - len(pairs))
+                * prod(num[w[i]][w[j]] for i, j in pairs)
+                for pairs, count in constraint_edge_classes(n))
     return Fraction(total, den ** max_edges)
 
 
@@ -264,77 +256,92 @@ def _scaled_building(g: WeightedGraph, w: Word) -> int:
     return spine * _scaled_reduced(g, w) if spine else 0
 
 
-def _interval_scaled(g: WeightedGraph, w: Word, reduced: bool = False) -> int:
-    """One word's scaled count by the first-arrival interval DP.
+def _interval_scaled(g: WeightedGraph, word: Sequence[Sequence[int]],
+                     reduced: bool = False) -> int:
+    """Sum of ``B * D^(2n-2)``, or ``R * D^(n-1)``, over the words of a chart.
 
-    Returns ``B * D^(2n-2)``, or with ``reduced`` ``R * D^(n-1)``; exact,
-    O(n^3) integer operations, and no memo.  Over the framed word
-    ``⊥ w ⊥`` it fills ``H(i, j) = a(i, j) F(i, j)``, the interval with
-    its closing link, so ``F(i, j) = sum_p C(j-i-2, p-i-1) H(i, p) H(p, j)``.
+    ``word[p]`` is the tuple of symbols position ``p`` may take.  A state
+    is one symbol at one position; the sentinels are an extra vertex ``q``
+    linked to every symbol by ``D``.  The chart keeps
+    ``G = H (n-1)! / (j-i-1)!``, so each side of a split carries its
+    factorial of ``C(j-i-2, p-i-1) = (j-i-2)! / ((p-i-1)! (j-p-1)!)`` and
+    ``G(i,a, j,b) = l(a,b) sum G(i,a, p,c) G(p,c, j,b) / ((n-1)! (j-i-1))``
+    divides exactly.
     """
-    n = len(w)
-    if n <= 1:
+    n = len(word)
+    if n == 0:
         return 1
     num = g._num
     den = g._den
+    q = len(num)
+    link = [list(row) + [den] for row in num] + [[den] * (q + 1)]
+    framed = [(q,), *word, (q,)]
     last = n + 1
-
-    def link(i: int, j: int) -> int:
-        if i == 0 or j == last or (reduced and j == i + 1):
-            return den
-        return num[w[i - 1]][w[j - 1]]
-
-    # rows[i][j] and cols[j][i] both hold H(i, j), so that the sum over p
-    # runs over two contiguous slices
-    rows = [[0] * (last + 1) for _ in range(last + 1)]
-    cols = [[0] * (last + 1) for _ in range(last + 1)]
-    binoms = [[comb(m, t) for t in range(m + 1)] for m in range(n)]
-
-    def inside(i: int, j: int) -> int:
-        return sum(map(mul, map(mul, binoms[j - i - 2], rows[i][i + 1:j]),
-                       cols[j][i + 1:j]))
-
+    # the states of position p are numbered from start[p]; a state's row
+    # holds G to the states of later positions, numbered from
+    # start[p + 1], and its column G from the states of earlier ones
+    start = list(accumulate(map(len, framed), initial=0))
+    size = start[-1]
+    states = [[(start[p] + t, c, [0] * (size - start[p + 1]), [0] * start[p])
+               for t, c in enumerate(syms)]
+              for p, syms in enumerate(framed)]
+    scale = factorial(n - 1)
     for i in range(last):
-        rows[i][i + 1] = cols[i + 1][i] = link(i, i + 1)
+        lo = start[i + 1]
+        for s, a, row, _ in states[i]:
+            for t, b, _, col in states[i + 1]:
+                row[t - lo] = col[s] = (den if reduced else link[a][b]) * scale
     for d in range(2, last):
+        div = scale * (d - 1)
         for i in range(last + 1 - d):
             j = i + d
-            a = link(i, j)
-            if a:
-                rows[i][j] = cols[j][i] = a * inside(i, j)
-    return inside(0, last) // (den ** (n + 1) if reduced else den * den)
+            lo, hi = start[i + 1], start[j]
+            for s, a, row, _ in states[i]:
+                la = link[a]
+                inner = row[:hi - lo]
+                for t, b, _, col in states[j]:
+                    link_ab = la[b]
+                    if link_ab:
+                        row[t - lo] = col[s] = (
+                            link_ab * sum(map(mul, inner, col[lo:hi])) // div)
+    top = sum(map(mul, states[0][0][2][:size - 2], states[last][0][3][1:]))
+    return top // (scale * (den ** (n + 1) if reduced else den * den))
 
 
 def reduced_count(g: WeightedGraph, word: Sequence[int]) -> Fraction:
     """Reduced building count; exact, by the first-arrival interval DP."""
     w = _as_word(g, word)
-    if len(w) == 0:
-        return Fraction(1)
-    return Fraction(_interval_scaled(g, w, reduced=True),
-                    g._den ** (len(w) - 1))
+    return Fraction(_interval_scaled(g, [(s,) for s in w], reduced=True),
+                    g._den ** max(0, len(w) - 1))
 
 
 def building_count(g: WeightedGraph, word: Sequence[int]) -> Fraction:
     """Building count; exact, by the first-arrival interval DP."""
     w = _as_word(g, word)
-    if len(w) <= 1:
-        return Fraction(1)
-    return Fraction(_interval_scaled(g, w), g._den ** (2 * len(w) - 2))
+    return Fraction(_interval_scaled(g, [(s,) for s in w]),
+                    g._den ** max(0, 2 * len(w) - 2))
 
 
 # Every exhaustive sweep is bounded where it is entered, in the API: at most
-# q**n words of one length, and at most q**k middles of one gap.  The CLI
-# enforces these bounds only through the functions it calls.
+# q**n words of one length, and at most q**k middles of one gap.  A gap sum's
+# chart is bounded by its states: 256 take 0.5-2 s on a 2-CPU host, and the
+# cost grows faster than their cube.  The CLI enforces these bounds only
+# through the functions it calls.
 _ENUMERATION_BOUND = 10 ** 7
 _MIDDLE_BOUND = 10 ** 5
+_CHART_BOUND = 256
 
 
 def _check_bound(q: int, n: int, bound: int = _ENUMERATION_BOUND,
                  what: str = "enumeration") -> None:
     """Refuse a sweep over ``q**n`` words when that exceeds ``bound``."""
-    # for q >= 2, n beyond the bound's bit length already gives q**n > bound,
-    # and a huge n never has its power formed
-    if q > 1 and (n > bound.bit_length() or q ** n > bound):
+    # a length past the bound's bit length is refused for every q: for
+    # q >= 2 it gives q**n > bound without forming a huge power, and with
+    # one vertex it caps the memo's recursion
+    cut = bound.bit_length()
+    if q <= 1 and n > cut:
+        raise ValueError(f"{what} bound exceeded: length {n} > {cut}")
+    if n > cut or q ** n > bound:
         raise ValueError(f"{what} bound exceeded: {q}**{n} > {bound}")
 
 
@@ -349,16 +356,19 @@ def _walks(g: WeightedGraph, n: int, after: int | None = None) -> Iterator[Word]
         return
     out = g._out
     word = [0] * n
-
-    def rec(depth: int, choices: Sequence[int]) -> Iterator[Word]:
-        if depth == n:
-            yield tuple(word)
-            return
-        for v in choices:
+    # one iterator of choices per filled depth, so no length recurses
+    stack = [iter(range(g.vertex_count) if after is None else out[after])]
+    while stack:
+        depth = len(stack) - 1
+        for v in stack[-1]:
             word[depth] = v
-            yield from rec(depth + 1, out[v])
-
-    yield from rec(0, range(g.vertex_count) if after is None else out[after])
+            if depth + 1 == n:
+                yield tuple(word)
+            else:
+                stack.append(iter(out[v]))
+                break
+        else:
+            stack.pop()
 
 
 def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
@@ -377,20 +387,8 @@ def constraint_edge_classes(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
     edge set contains every consecutive pair ``(i, i+1)``, and no pair
     repeats, so the sets are genuine sets.
     """
-    counter: dict[tuple[tuple[int, int], ...], int] = {}
-    for order in permutations(range(n)):
-        present: list[int] = []
-        edges: list[tuple[int, int]] = []
-        for p in order:
-            pos = bisect_left(present, p)
-            if pos > 0:
-                edges.append((present[pos - 1], p))
-            if pos < len(present):
-                edges.append((p, present[pos]))
-            present.insert(pos, p)
-        key = tuple(sorted(edges))
-        assert len(set(key)) == len(key)
-        counter[key] = counter.get(key, 0) + 1
+    counter = Counter(tuple(sorted(_links(o))) for o in permutations(range(n)))
+    assert all(len(set(key)) == len(key) for key in counter)
     return tuple(sorted(counter.items()))
 
 

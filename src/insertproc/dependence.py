@@ -13,27 +13,29 @@ by exact integer cross-multiplication.  Pairs with a zero-weight word hold
 trivially: every building links every consecutive pair, so each of their
 stitched words has building count zero.
 
-One loop sums a pair over its middles, with either route to a building
-count.  In the sweep, left words are reduced modulo weight-preserving
-vertex relabelings (the identity is invariant under them), and each
-stitched count is taken as ``w(x W y) * R(x W y)`` on the per-graph
-reduced-count memo, which the sweep over all right words and middles
-shares.  A reported counterexample is re-canonicalized to the
-lexicographically least failing pair, so reports do not depend on the
-symmetry reduction, and its lhs is recomputed by the interval DP of
-:mod:`insertproc.buildings` before it is emitted.  A single gap sum
-(:func:`gap_sum`) and each constant's anchor run the interval DP alone.
+A pair's gap sum has two routes.  The sweep walks the middles: left
+words are reduced modulo weight-preserving vertex relabelings (the
+identity is invariant under them), and each stitched count is taken as
+``w(x W y) * R(x W y)`` on the per-graph reduced-count memo, which the
+sweep over all right words and middles shares.  A single pair
+(:func:`gap_sum`, each constant's anchor, and the re-check of a witness)
+is one chart of the interval DP of :mod:`insertproc.buildings`, with the
+``k`` middle positions free, so it walks no middles.  A reported
+counterexample is re-canonicalized to the lexicographically least failing
+pair, so reports do not depend on the symmetry reduction, and its lhs is
+recomputed by the chart before it is emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cache
+from typing import Optional, Sequence
 
-from .buildings import (Word, positive_words, _MIDDLE_BOUND, _as_word,
-                        _check_bound, _interval_scaled, _scaled_building,
-                        _walks)
+from .buildings import (Word, building_count, positive_words, _CHART_BOUND,
+                        _MIDDLE_BOUND, _as_word, _check_bound,
+                        _interval_scaled, _scaled_building, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, automorphisms, has_directed_triangle
@@ -103,42 +105,48 @@ class DependenceReport:
         }
 
 
-def _middle_sum(g: WeightedGraph, x: Word, y: Word, k: int,
-                count: Callable[[WeightedGraph, Word], int]) -> int:
-    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, one ``count`` per middle.
+def _middle_sum(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
+    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, walking the middles.
 
-    ``count`` is either route to a scaled building count: the interval DP
-    or ``w * R`` on the memo.  Middles run over the positive chains out of
-    ``x``; one whose last symbol has zero weight to ``y[0]`` is skipped,
-    since its stitched word has building count zero.
+    Each stitched count is ``w * R`` on the memo.  Middles run over the
+    positive chains out of ``x``; one whose last symbol has zero weight to
+    ``y[0]`` is skipped, since its stitched word has building count zero.
     """
     num = g._num
     first = y[0]
     total = 0
     for mid in _walks(g, k, x[-1]):
         if num[mid[-1] if mid else x[-1]][first]:
-            total += count(g, x + mid + y)
+            total += _scaled_building(g, x + mid + y)
     return total
 
 
-def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fraction:
-    """Exact ``sum_{W in V^k} B(x W y)``, one interval DP per middle.
+def _gap_chart(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
+    """``sum_W B(x W y)`` scaled as :func:`_middle_sum`, as one chart."""
+    free = tuple(range(g.vertex_count))
+    return _interval_scaled(g, [(s,) for s in x] + [free] * k
+                            + [(s,) for s in y])
 
-    Middles that break the positive chain are skipped since their stitched
-    word has building count zero.  Refused when ``q**k`` exceeds the middle
-    bound.
+
+def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fraction:
+    """Exact ``sum_{W in V^k} B(x W y)``, as one chart with ``k`` free positions.
+
+    Refused when the chart's ``len(x) + len(y) + k*q`` states exceed the
+    chart bound, before any table is allocated.
     """
     if k < 0:
         raise ValueError("gap length must be nonnegative")
-    _check_bound(g.vertex_count, k, _MIDDLE_BOUND, "gap enumeration")
     xw = _as_word(g, x)
     yw = _as_word(g, y)
     for name, w in (("x", xw), ("y", yw)):
         if not w:
             raise ValueError(f"{name} must have length at least 1")
+    states = len(xw) + len(yw) + k * g.vertex_count
+    if states > _CHART_BOUND:
+        raise ValueError(
+            f"chart bound exceeded: {states} states > {_CHART_BOUND}")
     n_total = len(xw) + k + len(yw)
-    return Fraction(_middle_sum(g, xw, yw, k, _interval_scaled),
-                    g._den ** (2 * n_total - 2))
+    return Fraction(_gap_chart(g, xw, yw, k), g._den ** (2 * n_total - 2))
 
 
 def _check_window(g: WeightedGraph, max_left: int, max_right: int) -> int:
@@ -208,12 +216,9 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     auts = _auts_for(g, use_symmetry)
     den = g._den
 
-    words_cache: dict[int, list[Word]] = {}
-
+    @cache
     def words_of(n: int) -> list[Word]:
-        if n not in words_cache:
-            words_cache[n] = list(positive_words(g, n))
-        return words_cache[n]
+        return list(positive_words(g, n))
 
     constants: dict[tuple[int, int], Fraction] = {}
     scale_c = den ** (2 * k + 2)
@@ -228,7 +233,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             if not ys:
                 continue
             x0, y0 = xs[0], ys[0]
-            lhs0 = _middle_sum(g, x0, y0, k, _interval_scaled)
+            lhs0 = _gap_chart(g, x0, y0, k)
             b_x0 = _scaled_building(g, x0)
             b_y0 = _scaled_building(g, y0)
             constants[(n, m)] = Fraction(lhs0, b_x0 * b_y0 * scale_c)
@@ -243,21 +248,16 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             for x in x_reps:
                 rhs_factor = lhs0 * _scaled_building(g, x)
                 for y, b_y in zip(ys, b_ys):
-                    lhs = _middle_sum(g, x, y, k, _scaled_building)
+                    lhs = _middle_sum(g, x, y, k)
                     if lhs * anchor != rhs_factor * b_y:
                         failing.append((x, y))
             if failing:
-                expanded = []
-                for xw, yw in failing:
-                    for p in auts:
-                        expanded.append((tuple(p[s] for s in xw),
-                                         tuple(p[s] for s in yw)))
-                xw, yw = min(expanded)
-                lhs = Fraction(_middle_sum(g, xw, yw, k, _interval_scaled),
+                xw, yw = min((tuple(p[s] for s in xw), tuple(p[s] for s in yw))
+                             for xw, yw in failing for p in auts)
+                lhs = Fraction(_gap_chart(g, xw, yw, k),
                                den ** (2 * (n + k + m) - 2))
-                expected = (constants[(n, m)]
-                            * Fraction(_scaled_building(g, xw), den ** (2 * n - 2))
-                            * Fraction(_scaled_building(g, yw), den ** (2 * m - 2)))
+                expected = (constants[(n, m)] * building_count(g, xw)
+                            * building_count(g, yw))
                 if lhs == expected:
                     raise RuntimeError(
                         f"pair {xw}, {yw} fails on the memoized reduced count "

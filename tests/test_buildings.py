@@ -1,5 +1,6 @@
 """Building counts: constructions, recurrences, and the brute-force oracle."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -78,6 +79,19 @@ def test_bruteforce_base_cases():
     assert building_count_bruteforce(K3, (0, 1, 0)) == 4
 
 
+def test_bruteforce_is_the_sum_over_arrival_orders():
+    # the oracle groups orders by the edge set they link; summing
+    # building_weight order by order must give the same count
+    rng = random.Random(6)
+    for _ in range(6):
+        g = _random_graph(rng, rng.randint(2, 4), with_loops=True)
+        for n in range(7):
+            word = tuple(rng.randrange(g.vertex_count) for _ in range(n))
+            orders = itertools.permutations(range(n))
+            assert building_count_bruteforce(g, word) == sum(
+                building_weight(g, word, o) for o in orders)
+
+
 def test_bruteforce_rejects_long_words():
     with pytest.raises(ValueError):
         building_count_bruteforce(K3, (0, 1) * 5)
@@ -109,7 +123,6 @@ def test_factorization_exhaustive_k3():
 
 
 def test_oracle_equivalence_exhaustive_small():
-    import itertools
     graphs = [complete_graph(2), K3, kite_graph()]
     for g in graphs:
         for n in range(0, 5):
@@ -132,7 +145,6 @@ def test_projection_invariance():
     g = multipartite_graph(3, 2)
     quotient = complete_graph(3)
     cls = classify_multipartite(g)
-    import itertools
     part = {v: block_projection(g, cls, (v,))[0] for v in range(6)}
     for n in range(1, 7):
         for word in itertools.product(range(6), repeat=n):
@@ -236,6 +248,11 @@ def test_bruteforce_sweep_keeps_one_prefix_chain():
     assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_long_walks_do_not_recurse():
+    word = next(positive_words(complete_graph(2), 2000))
+    assert word == (0, 1) * 1000
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         building_count(K3, (0, 3))
@@ -265,32 +282,37 @@ def _reduced_by_classes(g, word):
 
 
 @st.composite
-def _weighted_words(draw):
+def _weighted_charts(draw):
     q = draw(st.integers(min_value=1, max_value=4))
     weight = st.builds(Fraction, st.integers(min_value=0, max_value=7),
                        st.sampled_from([1, 2, 3, 5]))
     rows = [[draw(weight) for _ in range(q)] for _ in range(q)]
     word = draw(st.lists(st.integers(min_value=0, max_value=q - 1),
                          max_size=8))
-    return WeightedGraph(rows), tuple(word)
+    # up to three positions are free: they may take every vertex
+    free = draw(st.sets(st.integers(min_value=0, max_value=7), max_size=3))
+    chart = [tuple(range(q)) if p in free else (s,) for p, s in enumerate(word)]
+    return WeightedGraph(rows), chart
 
 
-@given(_weighted_words())
+@given(_weighted_charts())
 @settings(max_examples=60, deadline=None)
 def test_three_kernels_agree(case):
     # interval DP, memoized deletion recurrence and the sum over arrival
-    # orders, on B and on R, with zero weights and loops allowed
-    g, word = case
-    n = len(word)
+    # orders, on B and on R, with zero weights and loops allowed; a chart
+    # with free positions is checked against its words, enumerated
+    g, chart = case
+    words = list(itertools.product(*chart))
+    n = len(chart)
     den = g._den
     b_scale = den ** max(0, 2 * n - 2)
     r_scale = den ** max(0, n - 1)
-    b = building_count_bruteforce(g, word)
-    assert Fraction(_interval_scaled(g, word), b_scale) == b
-    assert Fraction(_scaled_building(g, word), b_scale) == b
-    r = _reduced_by_classes(g, word)
-    assert Fraction(_interval_scaled(g, word, reduced=True), r_scale) == r
-    assert Fraction(_scaled_reduced(g, word), r_scale) == r
+    b = sum(building_count_bruteforce(g, w) for w in words)
+    assert Fraction(_interval_scaled(g, chart), b_scale) == b
+    assert Fraction(sum(_scaled_building(g, w) for w in words), b_scale) == b
+    r = sum(_reduced_by_classes(g, w) for w in words)
+    assert Fraction(_interval_scaled(g, chart, reduced=True), r_scale) == r
+    assert Fraction(sum(_scaled_reduced(g, w) for w in words), r_scale) == r
 
 
 def test_long_word_factorization():
@@ -302,8 +324,9 @@ def test_long_word_factorization():
     word = tuple(word)
     assert building_count(g, word) == word_weight(g, word) * reduced_count(g, word)
     short = word[:14]
-    assert _interval_scaled(g, short) == _scaled_building(g, short)
-    assert _interval_scaled(g, short, reduced=True) == _scaled_reduced(g, short)
+    chart = [(s,) for s in short]
+    assert _interval_scaled(g, chart) == _scaled_building(g, short)
+    assert _interval_scaled(g, chart, reduced=True) == _scaled_reduced(g, short)
 
 
 def test_single_word_counts_leave_the_memo_empty():

@@ -174,6 +174,17 @@ def test_bound_exceeded_exit_two(fixture_dir, capsys):
     assert "bound" in err
 
 
+def test_one_vertex_window_exit_two(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"vertices": 1, "weights": [[0, 0, "1/1"]]}))
+    code = main(["check-c", "--graph", str(path), "--max-n", "3000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "length 3000 > 24" in captured.err
+
+
 def test_gap_bound_exit_two(fixture_dir, capsys):
     # min-k enforces the q**k middle bound at its largest gap, as check-kdep does
     for argv in (["check-kdep", "--k", "9"], ["min-k", "--max-k", "9"]):

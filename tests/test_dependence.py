@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +46,58 @@ def test_gap_sum_validation():
     with pytest.raises(ValueError, match="bool"):
         gap_sum(K4, (True,), (1,), 1)
     assert gap_sum(K4, np.array([0]), (np.int64(1),), 1) == 12
-    with pytest.raises(ValueError, match="gap enumeration bound"):
-        gap_sum(K4, (0,), (1,), 9)
+    # 4**9 middles were past the walk's bound; the chart has 38 states
+    assert gap_sum(K4, (0,), (1,), 9) == Fraction(_complete_normalizer(4, 11), 16)
+
+
+def test_gap_sum_chart_bound_refuses_before_allocating():
+    # 256 states are accepted and 258 refused; a gap of 10**6 on K4 would
+    # be a table 4 * 10**6 states on a side
+    assert gap_sum(complete_graph(2), (0,), (0,), 127) == 2 ** 128
+    with pytest.raises(ValueError, match="chart bound exceeded: 258 states"):
+        gap_sum(complete_graph(2), (0,), (0,), 128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="chart bound"):
+            gap_sum(K4, (0,), (1,), 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
+
+
+def _complete_normalizer(q, n):
+    """``Z_n`` of K_q: ``Z_1 = q`` and ``Z_{j+1} = ((q-2) j + q) Z_j``."""
+    z = q
+    for j in range(1, n):
+        z *= (q - 2) * j + q
+    return z
+
+
+def test_gap_sum_past_the_old_middle_bound():
+    # K3 is 2-dependent and K4 1-dependent, so past those gaps the sum
+    # factors as Z_{k+2} / q**2; K3 at k = 1 does not
+    for q, ks in ((3, range(2, 31)), (4, range(1, 31))):
+        g = complete_graph(q)
+        for k in ks:
+            assert gap_sum(g, (0,), (1,), k) == Fraction(
+                _complete_normalizer(q, k + 2), q * q), (q, k)
+    assert gap_sum(K3, (0,), (1,), 1) != Fraction(_complete_normalizer(3, 3), 9)
+
+
+def test_gap_sum_chart_matches_the_middle_walk():
+    # one chart with k free positions against the memo walk over the
+    # 4**k middles, on looped rational tables
+    rng = random.Random(9)
+    for _ in range(6):
+        g = WeightedGraph([[Fraction(rng.randint(0, 4), rng.choice((1, 2, 3)))
+                            for _ in range(4)] for _ in range(4)])
+        for k in range(6):
+            x = tuple(rng.randrange(4) for _ in range(rng.randint(1, 2)))
+            y = tuple(rng.randrange(4) for _ in range(rng.randint(1, 2)))
+            scale = g._den ** (2 * (len(x) + k + len(y)) - 2)
+            assert gap_sum(g, x, y, k) * scale == dependence._middle_sum(
+                g, x, y, k)
 
 
 def test_zero_weight_left_words_give_zero_gap_sums():
@@ -66,8 +117,7 @@ def test_zero_weight_left_words_give_zero_gap_sums():
             for x in xs:
                 for y in ys:
                     assert gap_sum(g, x, y, k) == 0
-                    assert dependence._middle_sum(
-                        g, x, y, k, _scaled_building) == 0
+                    assert dependence._middle_sum(g, x, y, k) == 0
 
 
 def test_witness_rechecked_by_the_interval_dp(monkeypatch):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insertproc import (DeadEndError, WeightedGraph, building_count,
-                        building_weight, complete_graph,
+                        building_weight, check_consistency,
+                        check_k_dependence, complete_graph,
                         empirical_gap_independence, insertion_law,
                         insertion_marginal_gap, kite_graph, marginal,
                         multipartite_graph, proper_coloring_windows,
@@ -41,6 +42,19 @@ def test_marginal_support_is_positive_walks():
 def test_marginal_bound():
     with pytest.raises(ValueError):
         marginal(complete_graph(6), 12)
+
+
+def test_one_vertex_windows_are_cut_at_length_24():
+    # 1**n never exceeds a bound, so one vertex is cut at the bound's bit
+    # length, as every q is; this caps the memo's recursion
+    g = WeightedGraph([[1]])
+    assert marginal(g, 24).normalizer > 0
+    with pytest.raises(ValueError, match="length 2000 > 24"):
+        marginal(g, 2000)
+    with pytest.raises(ValueError, match="length 1501 > 24"):
+        check_k_dependence(g, 1, 1500, 1)
+    with pytest.raises(ValueError, match="length 3000 > 24"):
+        check_consistency(g, 3000)
 
 
 def test_sample_exact_bound():
