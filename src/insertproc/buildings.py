@@ -53,7 +53,11 @@ Two exact kernels serve two call patterns:
   each word costs O(n) cache lookups; the interval DP would redo O(n^3)
   work per word and is measurably slower there.  On a single cold word
   the memo touches up to ``2^n`` subwords, which is why single charts do
-  not use it.
+  not use it.  The memo is keyed on *twin classes*: vertices with the
+  same row and the same column of the scaled table give every pair the
+  same weight, so ``R`` depends only on the word of class
+  representatives.  A complete multipartite graph thus stores only words
+  of the complete graph it projects onto.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial, prod
-from operator import index, mul
+from operator import index, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .graphs import WeightedGraph
@@ -211,26 +215,50 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int],
 
 
 def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
-    """Reduced count scaled by ``D^(len-1)``; the one memoized kernel."""
+    """Reduced count scaled by ``D^(len-1)``; the one memoized kernel.
+
+    The word is mapped to its twin classes once, here, and the memo is
+    keyed on the class word.
+    """
     m = len(w)
-    if m <= 1:
-        return 1
-    cache = g._tcache
-    v = cache.get(w)
-    if v is not None:
-        return v
-    den = g._den
-    if m == 2:
-        v = 2 * den
+    if m <= 2:
+        return 2 * g._den if m == 2 else 1
+    twin = g._twin
+    if twin is not None:
+        # with more than one index, itemgetter returns a tuple
+        w = itemgetter(*w)(twin)
+    v = g._tcache.get(w)
+    return _fill_reduced(g._tcache, g._num, g._den, w) if v is None else v
+
+
+def _fill_reduced(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
+                  w: Word) -> int:
+    """Count and store a class word of length >= 3 that the memo lacks.
+
+    Its children are class words too; each is looked up inline, so a
+    Python call is made only for a child that the memo also lacks.
+    """
+    m = len(w)
+    if m == 3:
+        # each of the three children is a pair, which counts 2 D
+        v = 2 * den * (2 * den + num[w[0]][w[2]])
     else:
-        num = g._num
+        get = cache.get
         last = m - 1
-        total = _scaled_reduced(g, w[1:]) + _scaled_reduced(g, w[:last])
+        child = w[1:]
+        v = get(child)
+        total = _fill_reduced(cache, num, den, child) if v is None else v
+        child = w[:last]
+        v = get(child)
+        total += _fill_reduced(cache, num, den, child) if v is None else v
         total *= den
         for i in range(1, last):
             f = num[w[i - 1]][w[i + 1]]
             if f:
-                total += f * _scaled_reduced(g, w[:i] + w[i + 1:])
+                child = w[:i] + w[i + 1:]
+                v = get(child)
+                total += f * (_fill_reduced(cache, num, den, child)
+                              if v is None else v)
         v = total
     cache[w] = v
     return v

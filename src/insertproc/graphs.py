@@ -55,6 +55,24 @@ def _as_weight(value: WeightLike) -> Fraction:
     return w
 
 
+def _twin_classes(num: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
+    """Map each vertex to the least vertex with its row and column, or ``None``.
+
+    Twins ``a ~ a'`` and ``b ~ b'`` give ``num[a][b] == num[a'][b']``, the
+    diagonal included, so replacing every symbol of a word by its class
+    representative keeps every pair weight.  A directed table needs the
+    columns too: equal rows alone do not give equal weights into a vertex.
+    """
+    n = len(num)
+    # distinct rows rule out twins at a fraction of the cost of the map
+    if len(set(num)) == n:
+        return None
+    first: dict = {}
+    twin = tuple([first.setdefault(key, v)
+                  for v, key in enumerate(zip(num, zip(*num)))])
+    return None if len(first) == n else twin
+
+
 class WeightedGraph:
     """Immutable weighted directed graph on ``0 .. vertex_count-1``.
 
@@ -63,11 +81,14 @@ class WeightedGraph:
     and positive-adjacency lists; the counting routines in
     :mod:`insertproc.buildings` run entirely on the integer form.  One
     internal dictionary is the per-graph memo cache of reduced counts; it
-    never affects equality or hashing.
+    never affects equality or hashing.  The memo is keyed on twin classes:
+    two vertices are *twins* when they have the same row and the same
+    column of the integer table, and ``_twin`` maps each vertex to the
+    least vertex of its class (``None`` when no two vertices are twins).
     """
 
     __slots__ = ("vertex_count", "_rows", "_den", "_num", "_out", "_in",
-                 "_hash", "_tcache")
+                 "_twin", "_hash", "_tcache")
 
     def __init__(self, rows: Sequence[Sequence[WeightLike]]):
         n = len(rows)
@@ -91,6 +112,7 @@ class WeightedGraph:
                           for i in range(n))
         self._in = tuple(tuple(i for i in range(n) if self._num[i][j] > 0)
                          for j in range(n))
+        self._twin = _twin_classes(self._num)
         self._hash = hash((n, self._rows))
         self._tcache: dict = {}
 

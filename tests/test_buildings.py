@@ -271,14 +271,21 @@ def test_word_validation():
         building_count(K3, np.array([0, 3]))
 
 
-def _reduced_by_classes(g, word):
-    """R(x) as the sum over constraint-edge classes of their non-path edges."""
+def _scaled_reduced_by_classes(g, word):
+    """R(x) D^(n-1) as the sum over constraint-edge classes of their non-path edges.
+
+    A class of ``e`` non-path edges carries ``D^(n-1-e)``; ``e <= n-2``.
+    """
     n = len(word)
     if n <= 1:
-        return Fraction(1)
-    return sum(count * prod((g.weight(word[i], word[j])
-                             for i, j in pairs if j > i + 1), start=Fraction(1))
-               for pairs, count in constraint_edge_classes(n))
+        return 1
+    num = g._num
+    den = g._den
+    total = 0
+    for pairs, count in constraint_edge_classes(n):
+        extras = [num[word[i]][word[j]] for i, j in pairs if j > i + 1]
+        total += count * den ** (n - 1 - len(extras)) * prod(extras)
+    return total
 
 
 @st.composite
@@ -306,13 +313,12 @@ def test_three_kernels_agree(case):
     n = len(chart)
     den = g._den
     b_scale = den ** max(0, 2 * n - 2)
-    r_scale = den ** max(0, n - 1)
     b = sum(building_count_bruteforce(g, w) for w in words)
     assert Fraction(_interval_scaled(g, chart), b_scale) == b
     assert Fraction(sum(_scaled_building(g, w) for w in words), b_scale) == b
-    r = sum(_reduced_by_classes(g, w) for w in words)
-    assert Fraction(_interval_scaled(g, chart, reduced=True), r_scale) == r
-    assert Fraction(sum(_scaled_reduced(g, w) for w in words), r_scale) == r
+    r = sum(_scaled_reduced_by_classes(g, w) for w in words)
+    assert _interval_scaled(g, chart, reduced=True) == r
+    assert sum(_scaled_reduced(g, w) for w in words) == r
 
 
 def test_long_word_factorization():
@@ -354,3 +360,28 @@ def test_memo_has_no_size_cap():
     g._tcache.update(dict.fromkeys(range(400_000), 0))
     marginal(g, 8)
     assert all(w in g._tcache for w in positive_words(g, 8))
+
+
+def test_memo_keyed_on_twin_classes_counts_like_the_chart():
+    # looped random tables on three vertices, with vertex 3 a copy of a
+    # random one; the memo holds class words, the chart the words as given
+    rng = random.Random(17)
+    for _ in range(3):
+        rows = [[Fraction(rng.randint(0, 4), rng.choice([1, 2, 3]))
+                 for _ in range(3)] for _ in range(3)]
+        copy = rng.randrange(3)
+        for row in rows:
+            row.append(row[copy])
+        rows.append(list(rows[copy]))
+        g = WeightedGraph(rows)
+        assert g._twin == tuple(copy if v == 3 else v for v in range(4))
+        for n in range(7):
+            for w in itertools.product(range(4), repeat=n):
+                assert _scaled_reduced(g, w) == _interval_scaled(
+                    g, [(s,) for s in w], reduced=True)
+
+
+def test_multipartite_memo_keeps_one_symbol_per_part():
+    g = multipartite_graph(4, 2)
+    marginal(g, 5)
+    assert g._tcache and all(max(w) < 4 for w in g._tcache)

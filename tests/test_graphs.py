@@ -12,6 +12,7 @@ from insertproc import (WeightedGraph, automorphisms, block_projection,
                         has_directed_triangle, is_strongly_connected,
                         kite_graph, multipartite_graph, path_graph, regularity,
                         triangles_per_edge, uniform_weight)
+from insertproc.fixtures import load_graph_fixture
 
 
 def test_complete_graph_weights():
@@ -242,6 +243,27 @@ def test_block_projection_preserves_weights(q, r):
     for i in range(q * r):
         for j in range(q * r):
             assert g.weight(i, j) == quotient.weight(f[i], f[j])
+
+
+@pytest.mark.parametrize("name", ["k2", "k3", "k4", "k5", "k6", "kite",
+                                  "cycle5", "path4"])
+def test_fixtures_without_twins(name):
+    assert load_graph_fixture(name)._twin is None
+
+
+@pytest.mark.parametrize("name,q", [("k22", 2), ("k222", 3), ("k2222", 4)])
+def test_multipartite_twins_are_the_parts(name, q):
+    # the fixture puts vertex v in part v % q, so its least twin is v % q
+    g = load_graph_fixture(name)
+    assert g._twin == tuple(v % q for v in range(g.vertex_count))
+
+
+def test_twins_need_equal_rows_and_columns():
+    # equal rows but different columns, and the reverse: the loop at 0
+    # weighs 1 and the loop at 1 weighs 2, so the vertices are not twins
+    assert WeightedGraph([[1, 2], [1, 2]])._twin is None
+    assert WeightedGraph([[1, 1], [2, 2]])._twin is None
+    assert WeightedGraph([[1, 1, 0], [1, 1, 0], [3, 3, 0]])._twin == (0, 0, 2)
 
 
 @pytest.mark.parametrize("q,r,w", [(2, 2, 1), (3, 2, 2), (4, 1, 1), (3, 3, 1)])
