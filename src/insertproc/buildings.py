@@ -227,8 +227,9 @@ def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
     if twin is not None:
         # with more than one index, itemgetter returns a tuple
         w = itemgetter(*w)(twin)
-    v = g._tcache.get(w)
-    return _fill_reduced(g._tcache, g._num, g._den, w) if v is None else v
+    cache = g._tcache
+    v = cache.get(w)
+    return _fill_reduced(cache, g._num, g._den, w) if v is None else v
 
 
 def _fill_reduced(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
