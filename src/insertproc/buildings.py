@@ -374,19 +374,20 @@ def _check_bound(q: int, n: int, bound: int = _ENUMERATION_BOUND,
         raise ValueError(f"{what} bound exceeded: {q}**{n} > {bound}")
 
 
-def _walks(g: WeightedGraph, n: int, after: int | None = None) -> Iterator[Word]:
-    """Words of length ``n`` with positive word weight, in lexicographic order.
+def _walks(out: Sequence[Sequence[int]], n: int,
+           first: Sequence[int]) -> Iterator[Word]:
+    """Chains of length ``n`` in ``out``, in lexicographic order.
 
-    With ``after``, the first symbol is restricted to its out-neighbours,
-    so the words are the positive chains that continue ``after``.
+    The first symbol ranges over ``first`` and each later one over the
+    ``out`` row of the symbol before it; every row and ``first`` must be
+    increasing.
     """
     if n == 0:
         yield ()
         return
-    out = g._out
     word = [0] * n
     # one iterator of choices per filled depth, so no length recurses
-    stack = [iter(range(g.vertex_count) if after is None else out[after])]
+    stack = [iter(first)]
     while stack:
         depth = len(stack) - 1
         for v in stack[-1]:
@@ -404,7 +405,43 @@ def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     """All words of length ``n`` with positive word weight, in lexicographic order."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    return _walks(g, n)
+    return _walks(g._out, n, range(g.vertex_count))
+
+
+def _twin_quotient(g: WeightedGraph) -> tuple[Sequence[int], tuple[int, ...],
+                                              tuple[tuple[int, ...], ...],
+                                              tuple[tuple[int, ...], ...]]:
+    """The twin quotient: ``(reps, size, out, in)``.
+
+    ``reps`` are the class representatives in increasing order, so the
+    class order is the vertex order.  ``size[v]`` is the size of ``v``'s
+    class when ``v`` is a representative and 0 otherwise.  ``out`` and
+    ``in`` are the positive adjacency rows with only representatives kept.
+    A graph without twins is its own quotient, every size 1.
+    """
+    q = g.vertex_count
+    twin = g._twin
+    if twin is None:
+        return range(q), (1,) * q, g._out, g._in
+    size = [0] * q
+    for c in twin:
+        size[c] += 1
+    return (tuple(v for v in range(q) if size[v]), tuple(size),
+            tuple(tuple(v for v in row if size[v]) for row in g._out),
+            tuple(tuple(v for v in row if size[v]) for row in g._in))
+
+
+def _sized_links(g: WeightedGraph, size: Sequence[int]
+                 ) -> Sequence[Sequence[int]]:
+    """Scaled pair weights ``num[a][v] * s(v)``, for a link into a free position.
+
+    A free position ranges over class representatives, and ``v`` stands
+    for the ``s(v)`` vertices of its class.  Without twins this is the
+    table itself.
+    """
+    if g._twin is None:
+        return g._num
+    return [[w * s for w, s in zip(row, size)] for row in g._num]
 
 
 @lru_cache(maxsize=None)
@@ -421,10 +458,17 @@ def constraint_edge_classes(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
     return tuple(sorted(counter.items()))
 
 
-def _digit_arrays(q: int, m: int, dtype) -> list[np.ndarray]:
+def _digit_arrays(q: int, m: int, lo: int, hi: int, dtype) -> list[np.ndarray]:
+    """Per position, the symbols of the length-``m`` words indexed ``lo .. hi-1``."""
     import numpy as np
-    idx = np.arange(q ** m, dtype=np.int64)
+    idx = np.arange(lo, hi, dtype=np.int64)
     return [((idx // (q ** (m - 1 - j))) % q).astype(dtype) for j in range(m)]
+
+
+# bruteforce_sweep counts the words of one length in blocks of this many,
+# so its arrays, one per position, per pair and per prefix product, stay
+# small however many words the length has
+_SWEEP_BLOCK = 4096
 
 
 def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarray, int]]:
@@ -454,20 +498,12 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
         # padding fill e_max - (m-1) = m-2 slots, so are <= M^(m-2)
         bound = (maxnum ** (m - 1)) * factorial(m) * (maxnum ** (m - 2))
         dtype = np.int64 if bound < 2 ** 62 else object
-        digits = _digit_arrays(q, m, np.int64)
-        num = np.array(g._num, dtype=dtype)
-        pairval: dict[tuple[int, int], np.ndarray] = {}
-
-        def pv(a: int, b: int) -> np.ndarray:
-            key = (a, b)
-            if key not in pairval:
-                pairval[key] = num[digits[a], digits[b]]
-            return pairval[key]
-
+        # the digits and pair weights take the narrowest type that holds
+        # them; the weights' type is signed (from -maxnum), so that numpy
+        # promotes every product with them to int64
+        num = np.array(g._num, dtype=(np.min_scalar_type(-maxnum)
+                                      if dtype is np.int64 else object))
         path_pairs = tuple((i, i + 1) for i in range(m - 1))
-        path_prod = pv(0, 1).copy()
-        for i in range(1, m - 1):
-            path_prod = path_prod * pv(i, i + 1)
         # sorted by their extras, classes that share a prefix are adjacent,
         # so only the partial products along the current prefix are kept
         by_extras = []
@@ -476,19 +512,36 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
             assert len(extras) == len(pairs) - len(path_pairs)
             by_extras.append((extras, count, e_max - len(pairs)))
         by_extras.sort()
-        prev: tuple[tuple[int, int], ...] = ()
-        prods = [np.ones(q ** m, dtype=dtype)]
-        acc = np.zeros(q ** m, dtype=dtype)
-        for extras, count, pad in by_extras:
-            keep = 0
-            while keep < min(len(prev), len(extras)) and prev[keep] == extras[keep]:
-                keep += 1
-            del prods[keep + 1:]
-            for pair in extras[keep:]:
-                prods.append(prods[-1] * pv(*pair))
-            prev = extras
-            acc += count * (den ** pad) * prods[-1]
-        out[m] = (path_prod * acc, den ** e_max)
+        blocks = []
+        for lo in range(0, q ** m, _SWEEP_BLOCK):
+            hi = min(lo + _SWEEP_BLOCK, q ** m)
+            digits = _digit_arrays(q, m, lo, hi, np.min_scalar_type(q - 1))
+            pairval: dict[tuple[int, int], np.ndarray] = {}
+
+            def pv(a: int, b: int) -> np.ndarray:
+                key = (a, b)
+                if key not in pairval:
+                    pairval[key] = num[digits[a], digits[b]]
+                return pairval[key]
+
+            path_prod = pv(0, 1).astype(dtype)
+            for i in range(1, m - 1):
+                path_prod = path_prod * pv(i, i + 1)
+            prev: tuple[tuple[int, int], ...] = ()
+            prods = [np.ones(hi - lo, dtype=dtype)]
+            acc = np.zeros(hi - lo, dtype=dtype)
+            for extras, count, pad in by_extras:
+                keep = 0
+                while (keep < min(len(prev), len(extras))
+                       and prev[keep] == extras[keep]):
+                    keep += 1
+                del prods[keep + 1:]
+                for pair in extras[keep:]:
+                    prods.append(prods[-1] * pv(*pair))
+                prev = extras
+                acc += count * (den ** pad) * prods[-1]
+            blocks.append(path_prod * acc)
+        out[m] = (np.concatenate(blocks), den ** e_max)
     return out
 
 

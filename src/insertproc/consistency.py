@@ -17,6 +17,16 @@ only positive-weight words (walks in the positive edge graph) are
 enumerated.  All comparisons are exact cross-multiplications of scaled
 integers; the constant at each length is anchored at the lexicographically
 least positive word.
+
+The sweep runs on the twin quotient.  Twin vertices (same row and column
+of weights) give every pair the same weight, so ``R`` and both extension
+sums depend only on the word of class representatives (the least vertex
+of each class).  Only those *class words* are enumerated, and an
+extension by a representative ``v`` counts ``s(v)`` times, the size of
+its class.  Replacing each symbol by its representative keeps every
+sum and never raises a word lexicographically, so the anchor and the
+first failing word are class words and reports are those of the sweep
+over every word.  A graph without twins is its own quotient.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .buildings import (Word, positive_words, reduced_count, _check_bound,
-                        _scaled_reduced)
+from .buildings import (Word, reduced_count, _check_bound, _scaled_reduced,
+                        _sized_links, _twin_quotient, _walks)
 from .graphs import WeightedGraph, complete_graph, uniform_weight
 
 __all__ = [
@@ -93,40 +103,37 @@ class ConsistencyReport:
         }
 
 
-def _right_sum_scaled(g: WeightedGraph, word: Word) -> int:
-    num = g._num
-    last = word[-1]
-    return sum(num[last][v] * _scaled_reduced(g, word + (v,))
-               for v in g._out[last])
-
-
-def _left_sum_scaled(g: WeightedGraph, word: Word) -> int:
-    num = g._num
-    first = word[0]
-    return sum(num[u][first] * _scaled_reduced(g, (u,) + word)
-               for u in g._in[first])
-
-
 def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
     """Verify the extension identities for every length ``n < max_len``.
 
-    Scans positive-weight words in lexicographic order; the first word
-    whose right or left extension sum deviates (by exact
+    Scans positive-weight class words in lexicographic order; the first
+    word whose right or left extension sum deviates (by exact
     cross-multiplication) from the anchored constant is reported.  Refused
-    when ``q**max_len`` exceeds the enumeration bound.
+    when ``q**max_len`` exceeds the enumeration bound, with ``q`` the
+    vertex count of ``g``, not its class count.
     """
     if max_len < 2:
         raise ValueError("window bound must be at least 2")
     _check_bound(g.vertex_count, max_len)
     den2 = g._den * g._den
+    reps, size, out, into = _twin_quotient(g)
+    # an extension by v stands for its whole class, so its link carries s(v)
+    right_links = _sized_links(g, size)
+    left_links = g._num if g._twin is None else [
+        [s * w for w in row] for row, s in zip(g._num, size)]
     constants: dict[int, Fraction] = {}
     for n in range(1, max_len):
         anchor_right = None
         anchor_base = None
-        for word in positive_words(g, n):
+        for word in _walks(out, n, reps):
             base = _scaled_reduced(g, word)
-            right = _right_sum_scaled(g, word)
-            left = _left_sum_scaled(g, word)
+            last = word[-1]
+            row = right_links[last]
+            right = sum(row[v] * _scaled_reduced(g, word + (v,))
+                        for v in out[last])
+            first = word[0]
+            left = sum(left_links[u][first] * _scaled_reduced(g, (u,) + word)
+                       for u in into[first])
             if anchor_right is None:
                 anchor_right, anchor_base = right, base
                 # a zero anchor sum means no positive extension exists;

@@ -13,16 +13,27 @@ by exact integer cross-multiplication.  Pairs with a zero-weight word hold
 trivially: every building links every consecutive pair, so each of their
 stitched words has building count zero.
 
-A pair's gap sum has two routes.  The sweep walks the middles: left
-words are reduced modulo weight-preserving vertex relabelings (the
-identity is invariant under them), and each stitched count is taken as
-``w(x W y) * R(x W y)`` on the per-graph reduced-count memo, which the
-sweep over all right words and middles shares.  A single pair
+A pair's gap sum has two routes.  The sweep walks the middles on the
+twin quotient.  Twin vertices (same row and column of weights) give every
+pair the same weight, so ``B(x)`` and every gap sum depend only on the
+words of class representatives (the least vertex of each class).  The
+sweep therefore takes ``x`` and ``y`` among these *class words* only, and
+a middle ``W`` among class words weighted by ``prod s(W_i)``, the sizes
+of its classes.  Left words are further reduced modulo the automorphisms
+of the class graph that keep class sizes (each lifts to a
+weight-preserving vertex relabeling, under which the identity is
+invariant).  With ``B = w * R``, the pair weights ``w(x) w(y)`` divide
+out of both sides of the identity, so each stitched word contributes its
+middle's links times ``R(x W y)`` on the per-graph reduced-count memo,
+which the sweep over all right words and middles shares.  A single pair
 (:func:`gap_sum`, each constant's anchor, and the re-check of a witness)
-is one chart of the interval DP of :mod:`insertproc.buildings`, with the
-``k`` middle positions free, so it walks no middles.  A reported
-counterexample is re-canonicalized to the lexicographically least failing
-pair, so reports do not depend on the symmetry reduction, and its lhs is
+is one chart of the interval DP of :mod:`insertproc.buildings` on the
+graph itself, with the ``k`` middle positions free, so it walks no
+middles.  The failing pairs are closed under twin substitution, and
+replacing symbols by representatives never raises a pair
+lexicographically, so the least failing pair is a pair of class words.
+A reported counterexample is re-canonicalized to it, so reports do not
+depend on the quotient or the symmetry reduction, and its lhs is
 recomputed by the chart before it is emitted.
 """
 
@@ -33,12 +44,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
-from .buildings import (Word, building_count, positive_words, _CHART_BOUND,
-                        _MIDDLE_BOUND, _as_word, _check_bound,
-                        _interval_scaled, _scaled_building, _walks)
+from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
+                        _as_word, _check_bound, _interval_scaled,
+                        _scaled_building, _scaled_reduced, _sized_links,
+                        _spine_scaled, _twin_quotient, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
-from .graphs import WeightedGraph, automorphisms, has_directed_triangle
+from .graphs import WeightedGraph, _automorphisms, has_directed_triangle
 
 __all__ = [
     "DependenceCounterexample",
@@ -50,7 +62,7 @@ __all__ = [
     "triangle_necessity",
 ]
 
-_AUTOMORPHISM_VERTEX_CAP = 10
+_AUTOMORPHISM_CLASS_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -105,20 +117,54 @@ class DependenceReport:
         }
 
 
-def _middle_sum(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
-    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, walking the middles.
+def _middles(links: Sequence[Sequence[int]],
+             out: Sequence[Sequence[int]], x: Word,
+             k: int) -> list[tuple[Word, int, int]]:
+    """``(x W, weight, last)`` for each class middle ``W`` of length ``k``.
 
-    Each stitched count is ``w * R`` on the memo.  Middles run over the
-    positive chains out of ``x``; one whose last symbol has zero weight to
-    ``y[0]`` is skipped, since its stitched word has building count zero.
+    Middles run over the positive class chains out of ``x``.  ``weight``
+    multiplies the links from ``x[-1]`` through ``W``, each times the
+    size of the class it enters (``links``), and ``last`` is the symbol
+    before the right word.
+    """
+    terms = []
+    start = x[-1]
+    for mid in _walks(out, k, out[start]):
+        weight, a = 1, start
+        for c in mid:
+            weight *= links[a][c]
+            a = c
+        terms.append((x + mid, weight, a))
+    return terms
+
+
+def _reduced_middle_sum(g: WeightedGraph, terms: list[tuple[Word, int, int]],
+                        y: Word) -> int:
+    """``sum_W B(x W y) / (w(x) w(y))``, scaled, over the middles of ``x``.
+
+    A stitched word's pair weights are ``x``'s, the middle's links, the
+    link into ``y`` and ``y``'s; the first and last factors are left out,
+    and each term is the rest times ``R(x W y)`` on the memo.  A middle
+    whose last symbol has zero weight to ``y[0]`` is skipped.
     """
     num = g._num
     first = y[0]
     total = 0
-    for mid in _walks(g, k, x[-1]):
-        if num[mid[-1] if mid else x[-1]][first]:
-            total += _scaled_building(g, x + mid + y)
+    for xm, weight, last in terms:
+        f = num[last][first]
+        if f:
+            total += weight * f * _scaled_reduced(g, xm + y)
     return total
+
+
+def _middle_sum(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
+    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, walking the middles."""
+    spine = _spine_scaled(g, x) * _spine_scaled(g, y)
+    if not spine:
+        return 0
+    _, size, out, _ = _twin_quotient(g)
+    terms = _middles(_sized_links(g, size), out, x, k)
+    return spine * _reduced_middle_sum(g, terms, y)
 
 
 def _gap_chart(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
@@ -158,10 +204,27 @@ def _check_window(g: WeightedGraph, max_left: int, max_right: int) -> int:
     return need
 
 
-def _auts_for(g: WeightedGraph, use_symmetry: bool) -> tuple[tuple[int, ...], ...]:
-    if use_symmetry and g.vertex_count <= _AUTOMORPHISM_VERTEX_CAP:
-        return automorphisms(g)
-    return (tuple(range(g.vertex_count)),)
+def _auts_for(g: WeightedGraph, reps: Sequence[int], size: Sequence[int],
+              use_symmetry: bool) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of the class graph that keep class sizes, as vertex maps.
+
+    Each lifts to a weight-preserving permutation of ``g``, so the gap-sum
+    identity is invariant under it.  A map is indexed by vertex; only its
+    entries at representatives are read.
+    """
+    q = g.vertex_count
+    if not use_symmetry or len(reps) > _AUTOMORPHISM_CLASS_CAP:
+        return (tuple(range(q)),)
+    num = g._num
+    perms = _automorphisms([[num[a][b] for b in reps] for a in reps],
+                           [size[a] for a in reps])
+    maps = []
+    for p in perms:
+        image = list(range(q))
+        for a, i in zip(reps, p):
+            image[a] = reps[i]
+        maps.append(tuple(image))
+    return tuple(maps)
 
 
 def _orbit_reps(words: list[Word],
@@ -196,7 +259,8 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     word building count zero.  The counterexample, when one exists, is the
     lexicographically least failing pair at the first failing window cell.
     Refused when ``q**(max(max_left, max_right) + 1)`` exceeds the
-    enumeration bound or ``q**k`` the middle bound.
+    enumeration bound or ``q**k`` the middle bound, with ``q`` the vertex
+    count of ``g``, not its class count.
     """
     if k < 0:
         raise ValueError("gap length must be nonnegative")
@@ -213,12 +277,14 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
         raise ValueError(
             f"consistency verified only to {consistency.max_len}, need {need}")
 
-    auts = _auts_for(g, use_symmetry)
+    reps, size, out, _ = _twin_quotient(g)
+    links = _sized_links(g, size)
+    auts = _auts_for(g, reps, size, use_symmetry)
     den = g._den
 
     @cache
     def words_of(n: int) -> list[Word]:
-        return list(positive_words(g, n))
+        return list(_walks(out, n, reps))
 
     constants: dict[tuple[int, int], Fraction] = {}
     scale_c = den ** (2 * k + 2)
@@ -242,14 +308,17 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                     k, max_left, max_right, constants,
                     DependenceCounterexample(
                         x0, y0, Fraction(0), None, "zero-constant"))
-            b_ys = [_scaled_building(g, y) for y in ys]
+            # B = w * R, and the pair weights w(x) w(y) of a positive pair
+            # divide out of both sides
             anchor = b_x0 * b_y0
+            r_ys = [_scaled_reduced(g, y) for y in ys]
             failing: list[tuple[Word, Word]] = []
             for x in x_reps:
-                rhs_factor = lhs0 * _scaled_building(g, x)
-                for y, b_y in zip(ys, b_ys):
-                    lhs = _middle_sum(g, x, y, k)
-                    if lhs * anchor != rhs_factor * b_y:
+                terms = _middles(links, out, x, k)
+                rhs_factor = lhs0 * _scaled_reduced(g, x)
+                for y, r_y in zip(ys, r_ys):
+                    lhs = _reduced_middle_sum(g, terms, y)
+                    if lhs * anchor != rhs_factor * r_y:
                         failing.append((x, y))
             if failing:
                 xw, yw = min((tuple(p[s] for s in xw), tuple(p[s] for s in yw))

@@ -470,13 +470,23 @@ def automorphisms(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
     Backtracking search; intended for the small graphs this package works
     with.  The identity is always included and the result is sorted.
     """
-    n = g.vertex_count
-    num = g._num
+    return _automorphisms(g._num)
+
+
+def _automorphisms(num: Sequence[Sequence[int]],
+                   colors: Optional[Sequence[int]] = None
+                   ) -> tuple[tuple[int, ...], ...]:
+    """Permutations of a square table's indices that keep every entry.
+
+    With ``colors``, a permutation must also map each index to one of the
+    same color.
+    """
+    n = len(num)
     sig = []
     for i in range(n):
         row = tuple(sorted(num[i]))
         col = tuple(sorted(num[j][i] for j in range(n)))
-        sig.append((num[i][i], row, col))
+        sig.append((colors[i] if colors else 0, num[i][i], row, col))
     candidates = [tuple(u for u in range(n) if sig[u] == sig[k]) for k in range(n)]
     results: list[tuple[int, ...]] = []
     assign = [-1] * n

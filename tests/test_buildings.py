@@ -221,6 +221,22 @@ def test_sweeps_agree_with_scalar_ops():
             assert Fraction(int(bv[idx]), bs) == expected
 
 
+@pytest.mark.parametrize("top", [12, 200, 40_000, 2 ** 40])
+def test_sweeps_agree_at_every_weight_width(top):
+    # the brute force stores pair weights in the narrowest signed type
+    # that holds them (int8 up to int64 here) and multiplies in int64
+    # while its bound is below 2**62, in object arrays past it; every
+    # entry must stay exact
+    rng = random.Random(top)
+    g = WeightedGraph([[rng.randint(1, top) for _ in range(3)]
+                       for _ in range(3)])
+    rec = recurrence_sweep(g, 5)
+    bf = bruteforce_sweep(g, 5)
+    for m in range(6):
+        (rv, rs), (bv, bs) = rec[m], bf[m]
+        assert all(int(a) == int(b) * (rs // bs) for a, b in zip(rv, bv))
+
+
 def test_sweeps_object_fallback():
     # large numerators push the bound past int64; values must stay exact
     rows = [[0 if i == j else Fraction(97, 16) for j in range(3)] for i in range(3)]

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,25 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("module", ["insertproc", "insertproc.cli"])
+@pytest.mark.parametrize("name, code", [("k3", 0), ("kite", 1)])
+def test_python_dash_m_runs_the_command(fixture_dir, capsys, monkeypatch,
+                                        module, name, code):
+    # both module spellings run the command, with main's exit code and output
+    monkeypatch.chdir(fixture_dir)
+    argv = ["check-c", "--graph", f"{name}.json"]
+    assert main(argv) == code
+    want = capsys.readouterr().out
+    assert want
+    done = subprocess.run([sys.executable, "-m", module, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (code, want)
 
 
 def test_fixture_registry_complete():

@@ -1,5 +1,7 @@
 """Extension-consistency verification and the uniform-weight obstructions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from insertproc import (WeightedGraph, check_consistency,
                         check_pair_power_invariance, complete_graph,
                         cycle_graph, kite_graph, kite_obstruction,
                         multipartite_graph, pair_power_sum, path_graph,
-                        reduced_count, uniform_defect)
+                        reduced_count, uniform_defect, word_weight)
 
 
 def test_k3_constants():
@@ -72,6 +74,86 @@ def test_multipartite_constants_transfer(q, r):
     assert base.verified and blown.verified
     for n, c in base.constants.items():
         assert blown.constants[n] == r * c
+
+
+def _relabeled(rows, rng):
+    perm = rng.sample(range(len(rows)), len(rows))
+    return WeightedGraph([[rows[a][b] for b in perm] for a in perm])
+
+
+def _tables_with_copies(seed):
+    """Looped random 4-vertex tables with one vertex copied once or twice.
+
+    Their twin classes have unequal sizes, and the relabeling scatters
+    the class representatives.
+    """
+    rng = random.Random(seed)
+    for copies in (1, 2) * 4:
+        rows = [[Fraction(rng.randint(0, 4), rng.choice((1, 2)))
+                 for _ in range(4)] for _ in range(4)]
+        for _ in range(copies):
+            v = rng.randrange(4)
+            for row in rows:
+                row.append(row[v])
+            rows.append(list(rows[v]))
+        yield _relabeled(rows, rng)
+
+
+def _consistency_by_chart(g, max_len):
+    """The report of check_consistency, from every original word by the chart."""
+    q = g.vertex_count
+    constants = {}
+    for n in range(1, max_len):
+        anchor = None
+        for word in itertools.product(range(q), repeat=n):
+            if word_weight(g, word) == 0:
+                continue
+            base = reduced_count(g, word)
+            right = sum(g.weight(word[-1], v) * reduced_count(g, word + (v,))
+                        for v in range(q)) / base
+            left = sum(g.weight(u, word[0]) * reduced_count(g, (u,) + word)
+                       for u in range(q)) / base
+            if anchor is None:
+                anchor = right
+                if right:
+                    constants[str(n)] = str(right)
+            for side, ratio in (("right", right), ("left", left)):
+                if ratio != anchor:
+                    return {"max_len": max_len, "verified": False,
+                            "constants": constants, "degenerate_at": None,
+                            "counterexample": {
+                                "word": list(word), "side": side,
+                                "observed": str(ratio),
+                                "expected": str(anchor)}}
+        if anchor is None:
+            return {"max_len": max_len, "verified": True,
+                    "constants": constants, "counterexample": None,
+                    "degenerate_at": n}
+    return {"max_len": max_len, "verified": True, "constants": constants,
+            "counterexample": None, "degenerate_at": None}
+
+
+def test_class_word_sweep_matches_every_word_by_chart():
+    # the sweep walks class words and weights each extension by its class
+    # size; the reference walks every original word.  Besides the random
+    # tables (which fail at length 1): a relabeled K222 (verified), the
+    # weight-2 K222 (fails at length 3), and a looped table on classes of
+    # sizes 2, 1, 1 whose size-weighted rows and columns all sum to 5, so
+    # that it fails only at length 2
+    rng = random.Random(4)
+    graphs = list(_tables_with_copies(3)) + [
+        _relabeled([[1, 1, 1, 2], [1, 1, 1, 2], [1, 1, 2, 1], [2, 2, 1, 0]],
+                   rng),
+        _relabeled(multipartite_graph(3, 2)._rows, rng),
+        multipartite_graph(3, 2, 2)]
+    failed_past_one = 0
+    for g in graphs:
+        assert g._twin is not None
+        report = check_consistency(g, 4).to_json_dict()
+        assert report == _consistency_by_chart(g, 4)
+        cx = report["counterexample"]
+        failed_past_one += cx is not None and len(cx["word"]) > 1
+    assert failed_past_one == 2
 
 
 def test_cycle_is_consistent_but_triangle_free():

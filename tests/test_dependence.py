@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from insertproc import dependence
-from insertproc import (ConsistencyNotVerified, WeightedGraph,
-                        check_k_dependence, complete_graph, cycle_graph,
-                        gap_sum, kite_graph, min_k_search, multipartite_graph,
-                        positive_words, proper_coloring_windows, de_bruijn,
+from insertproc import (ConsistencyNotVerified, ConsistencyReport,
+                        WeightedGraph, building_count, check_k_dependence,
+                        complete_graph, cycle_graph, gap_sum, kite_graph,
+                        min_k_search, multipartite_graph, positive_words,
+                        proper_coloring_windows, de_bruijn,
                         triangle_necessity, word_weight)
-from insertproc.buildings import _scaled_building
+from insertproc.buildings import _scaled_reduced, _twin_quotient
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -85,6 +86,25 @@ def test_gap_sum_past_the_old_middle_bound():
     assert gap_sum(K3, (0,), (1,), 1) != Fraction(_complete_normalizer(3, 3), 9)
 
 
+def _tables_with_copies(seed):
+    """Looped random 4-vertex tables with one vertex copied once or twice.
+
+    Their twin classes have unequal sizes, and the relabeling scatters
+    the class representatives.
+    """
+    rng = random.Random(seed)
+    for copies in (1, 2) * 4:
+        rows = [[Fraction(rng.randint(0, 4), rng.choice((1, 2)))
+                 for _ in range(4)] for _ in range(4)]
+        for _ in range(copies):
+            v = rng.randrange(4)
+            for row in rows:
+                row.append(row[v])
+            rows.append(list(rows[v]))
+        perm = rng.sample(range(len(rows)), len(rows))
+        yield WeightedGraph([[rows[a][b] for b in perm] for a in perm])
+
+
 def test_gap_sum_chart_matches_the_middle_walk():
     # one chart with k free positions against the memo walk over the
     # 4**k middles, on looped rational tables
@@ -98,6 +118,18 @@ def test_gap_sum_chart_matches_the_middle_walk():
             scale = g._den ** (2 * (len(x) + k + len(y)) - 2)
             assert gap_sum(g, x, y, k) * scale == dependence._middle_sum(
                 g, x, y, k)
+    # with twins the walk sums class middles, each weighted by its class
+    # sizes; the symbols of x and y need not be representatives
+    for g in _tables_with_copies(11):
+        assert g._twin is not None
+        q = g.vertex_count
+        for k in range(4):
+            for _ in range(4):
+                x = tuple(rng.randrange(q) for _ in range(rng.randint(1, 2)))
+                y = tuple(rng.randrange(q) for _ in range(rng.randint(1, 2)))
+                scale = g._den ** (2 * (len(x) + k + len(y)) - 2)
+                assert gap_sum(g, x, y, k) * scale == dependence._middle_sum(
+                    g, x, y, k)
 
 
 def test_zero_weight_left_words_give_zero_gap_sums():
@@ -120,13 +152,68 @@ def test_zero_weight_left_words_give_zero_gap_sums():
                     assert dependence._middle_sum(g, x, y, k) == 0
 
 
+def _dependence_by_gap_sum(g, k, window):
+    """The report of check_k_dependence, from every original pair by gap_sum."""
+    q = g.vertex_count
+    words = {n: [w for w in itertools.product(range(q), repeat=n)
+                 if word_weight(g, w)] for n in range(1, window + 1)}
+    constants = {}
+    report = {"k": k, "max_left": window, "max_right": window,
+              "verified": True, "constants": constants,
+              "counterexample": None}
+    for n, m in itertools.product(range(1, window + 1), repeat=2):
+        xs, ys = words[n], words[m]
+        if not xs or not ys:
+            continue
+        c = gap_sum(g, xs[0], ys[0], k) / (building_count(g, xs[0])
+                                            * building_count(g, ys[0]))
+        constants[f"{n},{m}"] = str(c)
+        if c == 0:
+            return dict(report, verified=False, counterexample={
+                "x": list(xs[0]), "y": list(ys[0]), "lhs": "0",
+                "expected": None, "reason": "zero-constant"})
+        # x outer and y inner, each in lexicographic order: the first
+        # failing pair is the lexicographically least
+        for x, y in itertools.product(xs, ys):
+            lhs = gap_sum(g, x, y, k)
+            expected = c * building_count(g, x) * building_count(g, y)
+            if lhs != expected:
+                return dict(report, verified=False, counterexample={
+                    "x": list(x), "y": list(y), "lhs": str(lhs),
+                    "expected": str(expected), "reason": "ratio-mismatch"})
+    return report
+
+
+def test_class_sweep_matches_every_pair_by_gap_sum():
+    # these tables fail consistency, so a verified report stands in for
+    # it: the gap-sum sweep itself is defined on any table.  Complete
+    # multipartite graphs with unequal parts have class graphs with
+    # automorphisms that do not keep class sizes
+    stand_in = ConsistencyReport(4)
+    rng = random.Random(13)
+    blown_up = []
+    for sizes in ((2, 1), (1, 2, 1), (3, 1, 2), (2, 2, 1, 1)):
+        part = [c for c, s in enumerate(sizes) for _ in range(s)]
+        rng.shuffle(part)
+        blown_up.append(WeightedGraph([[int(a != b) for b in part]
+                                       for a in part]))
+    for g in [*_tables_with_copies(12), *blown_up]:
+        for k in range(3):
+            for use_symmetry in (True, False):
+                report = check_k_dependence(g, k, 3, 3,
+                                            use_symmetry=use_symmetry,
+                                            consistency=stand_in)
+                assert report.to_json_dict() == _dependence_by_gap_sum(
+                    g, k, 3), (g, k, use_symmetry)
+
+
 def test_witness_rechecked_by_the_interval_dp(monkeypatch):
     # a memo-side lhs that disagrees with the interval DP must not be
     # reported as a counterexample
     def skewed(g, w):
-        return _scaled_building(g, w) + (1 if w == (0, 1, 2) else 0)
+        return _scaled_reduced(g, w) + (1 if w == (0, 1, 2) else 0)
 
-    monkeypatch.setattr(dependence, "_scaled_building", skewed)
+    monkeypatch.setattr(dependence, "_scaled_reduced", skewed)
     with pytest.raises(RuntimeError, match="interval DP"):
         check_k_dependence(K4, 1, 1, 1, use_symmetry=False)
 
@@ -162,7 +249,13 @@ def test_k5_fails_every_gap(k):
 
 
 def test_symmetry_reduction_is_invisible():
-    for g, k in [(K3, 1), (K3, 2), (K4, 1), (multipartite_graph(2, 2), 1)]:
+    # multipartite_graph(3, 4) has 12 vertices, past the automorphism cap,
+    # but 3 classes, whose 6 size-preserving automorphisms reduce it
+    k3_4 = multipartite_graph(3, 4)
+    reps, size, _, _ = _twin_quotient(k3_4)
+    assert len(dependence._auts_for(k3_4, reps, size, True)) == 6
+    for g, k in [(K3, 1), (K3, 2), (K4, 1), (multipartite_graph(2, 2), 1),
+                 (k3_4, 2)]:
         try:
             a = check_k_dependence(g, k, 3, 3, use_symmetry=True)
             b = check_k_dependence(g, k, 3, 3, use_symmetry=False)
@@ -171,6 +264,7 @@ def test_symmetry_reduction_is_invisible():
         assert a.verified == b.verified
         assert a.constants == b.constants
         assert a.counterexample == b.counterexample
+    assert a.verified
 
 
 def test_consistency_precondition_enforced():
