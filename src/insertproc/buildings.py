@@ -73,7 +73,7 @@ from math import factorial, prod
 from operator import index, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .graphs import WeightedGraph
+from .graphs import _ENUMERATION_BOUND, WeightedGraph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,20 +191,19 @@ def building_weight(g: WeightedGraph, word: Sequence[int],
     return constraint_graph(g, word, order).total_weight()
 
 
-def building_count_bruteforce(g: WeightedGraph, word: Sequence[int],
-                              max_len: int = _BRUTEFORCE_MAX_LEN) -> Fraction:
+def building_count_bruteforce(g: WeightedGraph, word: Sequence[int]) -> Fraction:
     """Building count by direct summation over all arrival orders.
 
     The orders are grouped by the edge set they link
     (:func:`constraint_edge_classes`), so each group's product of edge
     weights is formed once.  Exponential-time reference oracle; words
-    longer than ``max_len`` are rejected.
+    longer than 8 are rejected.
     """
     w = _as_word(g, word)
     n = len(w)
-    if n > max_len:
-        raise ValueError(
-            f"word of length {n} exceeds the brute-force bound {max_len}")
+    if n > _BRUTEFORCE_MAX_LEN:
+        raise ValueError(f"word of length {n} exceeds the brute-force bound "
+                         f"{_BRUTEFORCE_MAX_LEN}")
     num = g._num
     den = g._den
     max_edges = max(0, 2 * n - 3)
@@ -265,24 +264,20 @@ def _fill_reduced(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
     return v
 
 
-def _spine_scaled(g: WeightedGraph, w: Word) -> int:
-    """Word weight scaled by ``D^(len-1)``: the product of scaled pair weights."""
-    num = g._num
-    total = 1
-    for a, b in zip(w, w[1:]):
-        total *= num[a][b]
-        if not total:
-            return 0
-    return total
-
-
 def _scaled_building(g: WeightedGraph, w: Word) -> int:
     """Building count scaled by ``D^(2*len-2)``, as ``w * R`` on the memo.
 
-    Every building links every consecutive pair, so this holds at ``w = 0``.
+    The word weight, scaled by ``D^(len-1)``, is the product of the scaled
+    pair weights.  Every building links every consecutive pair, so this
+    holds at ``w = 0``.
     """
-    spine = _spine_scaled(g, w)
-    return spine * _scaled_reduced(g, w) if spine else 0
+    num = g._num
+    spine = 1
+    for a, b in zip(w, w[1:]):
+        spine *= num[a][b]
+        if not spine:
+            return 0
+    return spine * _scaled_reduced(g, w)
 
 
 def _interval_scaled(g: WeightedGraph, word: Sequence[Sequence[int]],
@@ -352,11 +347,11 @@ def building_count(g: WeightedGraph, word: Sequence[int]) -> Fraction:
 
 
 # Every exhaustive sweep is bounded where it is entered, in the API: at most
-# q**n words of one length, and at most q**k middles of one gap.  A gap sum's
-# chart is bounded by its states: 256 take 0.5-2 s on a 2-CPU host, and the
-# cost grows faster than their cube.  The CLI enforces these bounds only
-# through the functions it calls.
-_ENUMERATION_BOUND = 10 ** 7
+# q**n words of one length (the enumeration bound of the graphs module), and
+# at most q**k middles of one gap.  A gap sum's chart is bounded by its
+# number of states, not by the size of its integers: with 64-bit weights a
+# chart of 254 states has been measured at 408 s.  The CLI enforces these
+# bounds only through the functions it calls.
 _MIDDLE_BOUND = 10 ** 5
 _CHART_BOUND = 256
 

@@ -2,10 +2,11 @@
 
 The CLI parses flags, loads the JSON input and calls the library.  Input
 checks and resource bounds belong to the library functions it calls (the
-two sweep bounds are defined in :mod:`insertproc.buildings`), so the API
-and the CLI refuse the same inputs; the CLI turns a ``ValueError`` into
-exit status 2 and checks only what it owns itself, the window and count
-of its loop over the insertion sampler.
+sweep bounds are defined in :mod:`insertproc.graphs` and
+:mod:`insertproc.buildings`), so the API and the CLI refuse the same
+inputs; the CLI turns a ``ValueError`` into exit status 2 and checks only
+what it owns itself, the window and count of its loop over the insertion
+sampler.
 
 All commands read and write JSON; reports are deterministic functions of
 the flags (keys sorted, no timestamps), so identical invocations produce
@@ -173,17 +174,17 @@ def _cmd_sft(args: argparse.Namespace) -> tuple[int, dict]:
     return (0 if lr.is_constant else 1), report
 
 
-def verify_identities(max_len: int = 5, random_graphs: int = 5,
-                      seed: int = 20240801, threads: int = 1) -> dict:
+def verify_identities(max_len: int = 5, seed: int = 20240801,
+                      threads: int = 1) -> dict:
     """Closed-form checks plus the two-route building-count sweep.
 
     The symbolic closed forms for generic words of lengths 2..4 are
     compared against independently constructed reference polynomials; then
-    for a family of small graphs every word up to ``max_len`` is counted
-    by both the deletion recurrence and direct summation over arrival
-    orders, and the values are compared exactly.  ``max_len`` runs from 2
-    to 7, and ``threads`` worker processes, at most one per graph, share
-    the sweep.
+    for K2, K3, the kite and five random 4-vertex tables drawn from
+    ``seed``, every word up to ``max_len`` is counted by both the deletion
+    recurrence and direct summation over arrival orders, and the values
+    are compared exactly.  ``max_len`` runs from 2 to 7, and ``threads``
+    worker processes, at most one per graph, share the sweep.
     """
     if not 2 <= max_len <= 7:
         raise ValueError("sweep length must be between 2 and 7")
@@ -196,7 +197,7 @@ def verify_identities(max_len: int = 5, random_graphs: int = 5,
     graphs.append(("K3", graph_to_json_dict(complete_graph(3))))
     graphs.append(("kite", graph_to_json_dict(kite_graph())))
     rng = random.Random(seed)
-    for i in range(random_graphs):
+    for i in range(5):
         rows = [[0] * 4 for _ in range(4)]
         for a in range(4):
             for b in range(4):

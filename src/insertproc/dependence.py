@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
                         _as_word, _check_bound, _interval_scaled,
                         _scaled_building, _scaled_reduced, _sized_links,
-                        _spine_scaled, _twin_quotient, _walks)
+                        _twin_quotient, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, _automorphisms, has_directed_triangle
@@ -138,8 +138,8 @@ def _middles(links: Sequence[Sequence[int]],
     return terms
 
 
-def _reduced_middle_sum(g: WeightedGraph, terms: list[tuple[Word, int, int]],
-                        y: Word) -> int:
+def _reduced_gap_sum(g: WeightedGraph, terms: list[tuple[Word, int, int]],
+                     y: Word) -> int:
     """``sum_W B(x W y) / (w(x) w(y))``, scaled, over the middles of ``x``.
 
     A stitched word's pair weights are ``x``'s, the middle's links, the
@@ -157,18 +157,8 @@ def _reduced_middle_sum(g: WeightedGraph, terms: list[tuple[Word, int, int]],
     return total
 
 
-def _middle_sum(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
-    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, walking the middles."""
-    spine = _spine_scaled(g, x) * _spine_scaled(g, y)
-    if not spine:
-        return 0
-    _, size, out, _ = _twin_quotient(g)
-    terms = _middles(_sized_links(g, size), out, x, k)
-    return spine * _reduced_middle_sum(g, terms, y)
-
-
 def _gap_chart(g: WeightedGraph, x: Word, y: Word, k: int) -> int:
-    """``sum_W B(x W y)`` scaled as :func:`_middle_sum`, as one chart."""
+    """``sum_W B(x W y)`` scaled by ``D^(2(n+k+m)-2)``, as one chart."""
     free = tuple(range(g.vertex_count))
     return _interval_scaled(g, [(s,) for s in x] + [free] * k
                             + [(s,) for s in y])
@@ -204,8 +194,8 @@ def _check_window(g: WeightedGraph, max_left: int, max_right: int) -> int:
     return need
 
 
-def _auts_for(g: WeightedGraph, reps: Sequence[int], size: Sequence[int],
-              use_symmetry: bool) -> tuple[tuple[int, ...], ...]:
+def _auts_for(g: WeightedGraph, reps: Sequence[int], size: Sequence[int]
+              ) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of the class graph that keep class sizes, as vertex maps.
 
     Each lifts to a weight-preserving permutation of ``g``, so the gap-sum
@@ -213,7 +203,7 @@ def _auts_for(g: WeightedGraph, reps: Sequence[int], size: Sequence[int],
     entries at representatives are read.
     """
     q = g.vertex_count
-    if not use_symmetry or len(reps) > _AUTOMORPHISM_CLASS_CAP:
+    if len(reps) > _AUTOMORPHISM_CLASS_CAP:
         return (tuple(range(q)),)
     num = g._num
     perms = _automorphisms([[num[a][b] for b in reps] for a in reps],
@@ -244,7 +234,7 @@ def _orbit_reps(words: list[Word],
 
 
 def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
-                       max_right: int = 4, *, use_symmetry: bool = True,
+                       max_right: int = 4, *,
                        consistency: Optional[ConsistencyReport] = None
                        ) -> DependenceReport:
     """Check the gap-``k`` factorization identity on a bounded window.
@@ -279,7 +269,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
 
     reps, size, out, _ = _twin_quotient(g)
     links = _sized_links(g, size)
-    auts = _auts_for(g, reps, size, use_symmetry)
+    auts = _auts_for(g, reps, size)
     den = g._den
 
     @cache
@@ -317,7 +307,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                 terms = _middles(links, out, x, k)
                 rhs_factor = lhs0 * _scaled_reduced(g, x)
                 for y, r_y in zip(ys, r_ys):
-                    lhs = _reduced_middle_sum(g, terms, y)
+                    lhs = _reduced_gap_sum(g, terms, y)
                     if lhs * anchor != rhs_factor * r_y:
                         failing.append((x, y))
             if failing:
@@ -346,7 +336,7 @@ class MinKResult:
 
 
 def min_k_search(g: WeightedGraph, max_k: int, max_left: int = 4,
-                 max_right: int = 4, *, use_symmetry: bool = True) -> MinKResult:
+                 max_right: int = 4) -> MinKResult:
     """Smallest gap ``k <= max_k`` passing :func:`check_k_dependence`.
 
     Every gap from 0 to ``max_k`` is checked independently until one
@@ -363,7 +353,6 @@ def min_k_search(g: WeightedGraph, max_k: int, max_left: int = 4,
     reports: dict[int, DependenceReport] = {}
     for k in range(0, max_k + 1):
         report = check_k_dependence(g, k, max_left, max_right,
-                                    use_symmetry=use_symmetry,
                                     consistency=consistency)
         reports[k] = report
         if report.verified:

@@ -20,6 +20,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 WeightLike = Union[int, str, Fraction]
 
+# One sweep enumerates at most this many words, and a graph's weight table
+# holds at most this many entries: every sweep would refuse a larger graph
+# at window 2.
+_ENUMERATION_BOUND = 10 ** 7
+
 __all__ = [
     "WeightedGraph",
     "UniformWeightReport",
@@ -76,18 +81,20 @@ def _twin_classes(num: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]
 class WeightedGraph:
     """Immutable weighted directed graph on ``0 .. vertex_count-1``.
 
-    Alongside the exact weight table the constructor precomputes an
-    integer form of the weights (numerators over one common denominator)
-    and positive-adjacency lists; the counting routines in
-    :mod:`insertproc.buildings` run entirely on the integer form.  One
-    internal dictionary is the per-graph memo cache of reduced counts; it
-    never affects equality or hashing.  The memo is keyed on twin classes:
-    two vertices are *twins* when they have the same row and the same
-    column of the integer table, and ``_twin`` maps each vertex to the
-    least vertex of its class (``None`` when no two vertices are twins).
+    The graph keeps one weight table, in integer form: numerators ``_num``
+    over one common denominator ``_den``, the lcm of the reduced
+    denominators, so equal tables mean equal weights.  :meth:`weight`
+    reads an exact :class:`~fractions.Fraction` back from it, and the
+    counting routines in :mod:`insertproc.buildings` run on it directly.
+    Positive-adjacency lists are precomputed.  One internal dictionary is
+    the per-graph memo cache of reduced counts; it never affects equality
+    or hashing.  The memo is keyed on twin classes: two vertices are
+    *twins* when they have the same row and the same column of the table,
+    and ``_twin`` maps each vertex to the least vertex of its class
+    (``None`` when no two vertices are twins).
     """
 
-    __slots__ = ("vertex_count", "_rows", "_den", "_num", "_out", "_in",
+    __slots__ = ("vertex_count", "_den", "_num", "_out", "_in",
                  "_twin", "_hash", "_tcache")
 
     def __init__(self, rows: Sequence[Sequence[WeightLike]]):
@@ -100,20 +107,19 @@ class WeightedGraph:
                 raise ValueError("weight table must be square")
             table.append(tuple(_as_weight(w) for w in row))
         self.vertex_count = n
-        self._rows: tuple[tuple[Fraction, ...], ...] = tuple(table)
         den = 1
-        for row in self._rows:
+        for row in table:
             for w in row:
                 den = lcm(den, w.denominator)
         self._den = den
         self._num = tuple(tuple(w.numerator * (den // w.denominator) for w in row)
-                          for row in self._rows)
+                          for row in table)
         self._out = tuple(tuple(j for j in range(n) if self._num[i][j] > 0)
                           for i in range(n))
         self._in = tuple(tuple(i for i in range(n) if self._num[i][j] > 0)
                          for j in range(n))
         self._twin = _twin_classes(self._num)
-        self._hash = hash((n, self._rows))
+        self._hash = hash((den, self._num))
         self._tcache: dict = {}
 
     @classmethod
@@ -124,13 +130,19 @@ class WeightedGraph:
 
         Vertex indices may be any integers, numpy integers included, but
         neither they nor the vertex count may be bools; a pair given twice
-        is refused.  The weights are placed as given and parsed by the
-        constructor.
+        is refused, and so is a vertex count whose square exceeds the
+        enumeration bound.  The weights are placed as given and parsed by
+        the constructor.
         """
         if isinstance(vertex_count, bool):
             raise ValueError(f"vertex count {vertex_count!r} is a bool")
         if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
+        # a sparse document of a few bytes may name any vertex count, so the
+        # dense table is bounded before it is allocated
+        if index(vertex_count) ** 2 > _ENUMERATION_BOUND:
+            raise ValueError(f"weight table bound exceeded: {vertex_count}**2 > "
+                             f"{_ENUMERATION_BOUND}")
         rows: list[list[WeightLike]] = [[0] * vertex_count
                                         for _ in range(vertex_count)]
         items = weights.items() if isinstance(weights, Mapping) else (
@@ -159,7 +171,7 @@ class WeightedGraph:
             raise ValueError(f"vertex pair ({i!r}, {j!r}) has non-integer vertices")
         if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
             raise ValueError(f"vertex pair ({i}, {j}) out of range")
-        return self._rows[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         return self._out[i]
@@ -170,20 +182,21 @@ class WeightedGraph:
     def positive_edges(self) -> Iterator[tuple[int, int, Fraction]]:
         for i in range(self.vertex_count):
             for j in self._out[i]:
-                yield i, j, self._rows[i][j]
+                yield i, j, Fraction(self._num[i][j], self._den)
 
     def is_symmetric(self) -> bool:
         n = self.vertex_count
-        return all(self._rows[i][j] == self._rows[j][i]
+        num = self._num
+        return all(num[i][j] == num[j][i]
                    for i in range(n) for j in range(i + 1, n))
 
     def is_loopless(self) -> bool:
-        return all(self._rows[i][i] == 0 for i in range(self.vertex_count))
+        return all(self._num[i][i] == 0 for i in range(self.vertex_count))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, WeightedGraph)
-                and self.vertex_count == other.vertex_count
-                and self._rows == other._rows)
+                and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
         return self._hash

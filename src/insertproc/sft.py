@@ -98,18 +98,16 @@ def de_bruijn_windows(s: ShiftOfFiniteType) -> tuple[Word, ...]:
 def de_bruijn(s: ShiftOfFiniteType) -> WeightedGraph:
     """De Bruijn graph: unit-weight edge where windows overlap on ``n - 1`` symbols.
 
-    Vertex ``i`` corresponds to ``de_bruijn_windows(s)[i]``.
+    Vertex ``i`` corresponds to ``de_bruijn_windows(s)[i]``.  Each window
+    is linked to the windows that begin with its last ``n - 1`` symbols,
+    so the cost does not depend on the alphabet size.
     """
     windows = de_bruijn_windows(s)
-    index = {w: i for i, w in enumerate(windows)}
-    pairs = {}
-    for w in windows:
-        suffix = w[1:]
-        for c in range(s.q):
-            other = suffix + (c,)
-            j = index.get(other)
-            if j is not None:
-                pairs[(index[w], j)] = 1
+    by_prefix: dict[Word, list[int]] = {}
+    for j, w in enumerate(windows):
+        by_prefix.setdefault(w[:-1], []).append(j)
+    pairs = {(i, j): 1 for i, w in enumerate(windows)
+             for j in by_prefix.get(w[1:], ())}
     return WeightedGraph.from_weights(len(windows), pairs)
 
 

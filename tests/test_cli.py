@@ -208,6 +208,17 @@ def test_one_vertex_window_exit_two(tmp_path, capsys):
     assert "length 3000 > 24" in captured.err
 
 
+def test_vertex_count_bound_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 10 ** 9, "weights": [[0, 1, "1"]]}))
+    code = main(["analyze", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "table bound" in captured.err
+
+
 def test_gap_bound_exit_two(fixture_dir, capsys):
     # min-k enforces the q**k middle bound at its largest gap, as check-kdep does
     for argv in (["check-kdep", "--k", "9"], ["min-k", "--max-k", "9"]):
@@ -328,9 +339,9 @@ def test_verify_identities_pool_size(monkeypatch):
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(cli, "Pool", FakePool)
-    report = cli.verify_identities(max_len=2, random_graphs=1, threads=10 ** 6)
+    report = cli.verify_identities(max_len=2, threads=10 ** 6)
     assert report["all_passed"]
-    assert sizes == [4]
+    assert sizes == [8]
 
 
 def test_usage_error_exit_two(capsys):

@@ -144,7 +144,8 @@ def test_class_word_sweep_matches_every_word_by_chart():
     graphs = list(_tables_with_copies(3)) + [
         _relabeled([[1, 1, 1, 2], [1, 1, 1, 2], [1, 1, 2, 1], [2, 2, 1, 0]],
                    rng),
-        _relabeled(multipartite_graph(3, 2)._rows, rng),
+        _relabeled([[int(a % 3 != b % 3) for b in range(6)] for a in range(6)],
+                   rng),
         multipartite_graph(3, 2, 2)]
     failed_past_one = 0
     for g in graphs:

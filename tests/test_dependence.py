@@ -15,7 +15,8 @@ from insertproc import (ConsistencyNotVerified, ConsistencyReport,
                         min_k_search, multipartite_graph, positive_words,
                         proper_coloring_windows, de_bruijn,
                         triangle_necessity, word_weight)
-from insertproc.buildings import _scaled_reduced, _twin_quotient
+from insertproc.buildings import (_scaled_building, _scaled_reduced,
+                                  _twin_quotient)
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -105,9 +106,15 @@ def _tables_with_copies(seed):
         yield WeightedGraph([[rows[a][b] for b in perm] for a in perm])
 
 
+def _middle_walk(g, x, y, k):
+    """``sum_W B(x W y)``, scaled as the chart, over every middle on the memo."""
+    return sum(_scaled_building(g, x + w + y)
+               for w in itertools.product(range(g.vertex_count), repeat=k))
+
+
 def test_gap_sum_chart_matches_the_middle_walk():
-    # one chart with k free positions against the memo walk over the
-    # 4**k middles, on looped rational tables
+    # one chart with k free positions against the memo counts of the
+    # q**k stitched words, on looped rational tables
     rng = random.Random(9)
     for _ in range(6):
         g = WeightedGraph([[Fraction(rng.randint(0, 4), rng.choice((1, 2, 3)))
@@ -116,10 +123,9 @@ def test_gap_sum_chart_matches_the_middle_walk():
             x = tuple(rng.randrange(4) for _ in range(rng.randint(1, 2)))
             y = tuple(rng.randrange(4) for _ in range(rng.randint(1, 2)))
             scale = g._den ** (2 * (len(x) + k + len(y)) - 2)
-            assert gap_sum(g, x, y, k) * scale == dependence._middle_sum(
-                g, x, y, k)
-    # with twins the walk sums class middles, each weighted by its class
-    # sizes; the symbols of x and y need not be representatives
+            assert gap_sum(g, x, y, k) * scale == _middle_walk(g, x, y, k)
+    # with twins the memo keys on class words; the symbols of x and y
+    # need not be representatives
     for g in _tables_with_copies(11):
         assert g._twin is not None
         q = g.vertex_count
@@ -128,8 +134,7 @@ def test_gap_sum_chart_matches_the_middle_walk():
                 x = tuple(rng.randrange(q) for _ in range(rng.randint(1, 2)))
                 y = tuple(rng.randrange(q) for _ in range(rng.randint(1, 2)))
                 scale = g._den ** (2 * (len(x) + k + len(y)) - 2)
-                assert gap_sum(g, x, y, k) * scale == dependence._middle_sum(
-                    g, x, y, k)
+                assert gap_sum(g, x, y, k) * scale == _middle_walk(g, x, y, k)
 
 
 def test_zero_weight_left_words_give_zero_gap_sums():
@@ -149,7 +154,7 @@ def test_zero_weight_left_words_give_zero_gap_sums():
             for x in xs:
                 for y in ys:
                     assert gap_sum(g, x, y, k) == 0
-                    assert dependence._middle_sum(g, x, y, k) == 0
+                    assert _middle_walk(g, x, y, k) == 0
 
 
 def _dependence_by_gap_sum(g, k, window):
@@ -199,12 +204,9 @@ def test_class_sweep_matches_every_pair_by_gap_sum():
                                        for a in part]))
     for g in [*_tables_with_copies(12), *blown_up]:
         for k in range(3):
-            for use_symmetry in (True, False):
-                report = check_k_dependence(g, k, 3, 3,
-                                            use_symmetry=use_symmetry,
-                                            consistency=stand_in)
-                assert report.to_json_dict() == _dependence_by_gap_sum(
-                    g, k, 3), (g, k, use_symmetry)
+            report = check_k_dependence(g, k, 3, 3, consistency=stand_in)
+            assert report.to_json_dict() == _dependence_by_gap_sum(
+                g, k, 3), (g, k)
 
 
 def test_witness_rechecked_by_the_interval_dp(monkeypatch):
@@ -215,7 +217,7 @@ def test_witness_rechecked_by_the_interval_dp(monkeypatch):
 
     monkeypatch.setattr(dependence, "_scaled_reduced", skewed)
     with pytest.raises(RuntimeError, match="interval DP"):
-        check_k_dependence(K4, 1, 1, 1, use_symmetry=False)
+        check_k_dependence(K4, 1, 1, 1)
 
 
 def test_k4_one_dependent_window_four():
@@ -249,22 +251,23 @@ def test_k5_fails_every_gap(k):
 
 
 def test_symmetry_reduction_is_invisible():
+    # the reduced sweep gives the report of every original pair by gap_sum
+    for g, k in [(K3, 1), (K3, 2), (K4, 1), (multipartite_graph(2, 2), 1)]:
+        assert check_k_dependence(g, k, 3, 3).to_json_dict() == (
+            _dependence_by_gap_sum(g, k, 3)), (g, k)
     # multipartite_graph(3, 4) has 12 vertices, past the automorphism cap,
-    # but 3 classes, whose 6 size-preserving automorphisms reduce it
+    # but 3 classes, whose 6 size-preserving automorphisms reduce it.  It
+    # is too large for the reference; each of its words stands for a word
+    # of K3, and each of the k middle positions for the 4 vertices of a
+    # class, so its constants are K3's times 4**k
     k3_4 = multipartite_graph(3, 4)
     reps, size, _, _ = _twin_quotient(k3_4)
-    assert len(dependence._auts_for(k3_4, reps, size, True)) == 6
-    for g, k in [(K3, 1), (K3, 2), (K4, 1), (multipartite_graph(2, 2), 1),
-                 (k3_4, 2)]:
-        try:
-            a = check_k_dependence(g, k, 3, 3, use_symmetry=True)
-            b = check_k_dependence(g, k, 3, 3, use_symmetry=False)
-        except ConsistencyNotVerified:
-            continue
-        assert a.verified == b.verified
-        assert a.constants == b.constants
-        assert a.counterexample == b.counterexample
-    assert a.verified
+    assert len(dependence._auts_for(k3_4, reps, size)) == 6
+    report = check_k_dependence(k3_4, 2, 3, 3)
+    assert report.verified
+    k3 = check_k_dependence(K3, 2, 3, 3)
+    assert report.constants == {nm: c * 4 ** 2
+                                for nm, c in k3.constants.items()}
 
 
 def test_consistency_precondition_enforced():

@@ -1,6 +1,7 @@
 """Graph model, constructors and structural predicates."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from insertproc import (WeightedGraph, automorphisms, block_projection,
                         has_directed_triangle, is_strongly_connected,
                         kite_graph, multipartite_graph, path_graph, regularity,
                         triangles_per_edge, uniform_weight)
-from insertproc.fixtures import load_graph_fixture
+from insertproc.fixtures import GRAPH_FIXTURES, fixture_text, load_graph_fixture
 
 
 def test_complete_graph_weights():
@@ -301,6 +302,48 @@ def test_json_roundtrip():
     assert doc["vertices"] == 3
     assert [0, 1, "3/2"] in doc["weights"]
     assert graph_from_json_dict(json.loads(json.dumps(doc))) == g
+
+
+def test_one_table_keeps_the_weights():
+    # the graph keeps only numerators over the lcm of the denominators, so
+    # every spelling of one weight gives one graph
+    spellings = [("1/2", "3"), ("2/4", "6/2"), (Fraction(1, 2), 3),
+                 (Fraction(2, 4), Fraction(3))]
+    graphs = [WeightedGraph.from_weights(2, {(0, 1): h, (1, 0): t})
+              for h, t in spellings]
+    assert all(g == graphs[0] and hash(g) == hash(graphs[0]) for g in graphs)
+    g = graphs[0]
+    assert g.weight(0, 1) == Fraction(1, 2) and g.weight(1, 0) == 3
+    assert list(g.positive_edges()) == [(0, 1, Fraction(1, 2)), (1, 0, 3)]
+    assert WeightedGraph([[0, 1], [2, 0]]) == WeightedGraph([["0", "1"],
+                                                             ["2", "0"]])
+    for other in ({(0, 1): "1/3", (1, 0): 3}, {(0, 1): "1/2", (1, 0): 4},
+                  {(0, 1): "1/2", (1, 0): 3, (0, 0): 1}):
+        assert WeightedGraph.from_weights(2, other) != g
+    # equal numerators over different denominators
+    assert complete_graph(2, "1/2") != complete_graph(2, "1/3")
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_FIXTURES))
+def test_fixture_file_is_its_graph_saved(name):
+    text = json.dumps(graph_to_json_dict(load_graph_fixture(name)), indent=2,
+                      sort_keys=True) + "\n"
+    assert text == fixture_text(name)
+
+
+def test_vertex_count_bound_refuses_before_allocating():
+    # a sparse document of a few bytes names the dense table's size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="table bound exceeded"):
+            graph_from_json_dict({"vertices": 10 ** 9, "weights": [[0, 1, "1"]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
+    # the least refused count: 3162**2 is within the bound
+    with pytest.raises(ValueError, match="3163\\*\\*2 > 10000000"):
+        WeightedGraph.from_weights(3163, {})
 
 
 def test_json_errors():

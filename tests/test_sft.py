@@ -11,6 +11,7 @@ from insertproc import (ShiftOfFiniteType, check_consistency, check_lr,
                         marginal, not_finitely_dependent_certificate, project,
                         proper_coloring_windows, sample_sft,
                         sft_from_json_dict, sft_to_json_dict)
+from insertproc.fixtures import SFT_FIXTURES, load_sft_fixture
 
 
 def test_validation():
@@ -30,6 +31,22 @@ def test_de_bruijn_two_cycle():
     assert g.vertex_count == 2
     assert g.weight(0, 1) == 1 and g.weight(1, 0) == 1
     assert g.weight(0, 0) == 0 and g.weight(1, 1) == 0
+
+
+def test_de_bruijn_cost_does_not_grow_with_the_alphabet():
+    s = ShiftOfFiniteType(10 ** 9, 2, [[0, 1], [1, 0]])
+    assert de_bruijn(s) == de_bruijn(ShiftOfFiniteType(2, 2, [[0, 1], [1, 0]]))
+    assert len(sample_sft(s, 3, 1, 2)) == 2
+
+
+@pytest.mark.parametrize("name", sorted(SFT_FIXTURES))
+def test_de_bruijn_links_every_overlap(name):
+    s = load_sft_fixture(name)
+    windows = de_bruijn_windows(s)
+    g = de_bruijn(s)
+    for i, a in enumerate(windows):
+        for j, b in enumerate(windows):
+            assert g.weight(i, j) == (a[1:] == b[:-1])
 
 
 def test_de_bruijn_coloring():
