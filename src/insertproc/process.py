@@ -18,9 +18,19 @@ window is unbounded.
 
 Randomness contract: all samplers consume a Mersenne Twister stream
 (:class:`random.Random`) seeded with the given integer, and convert each
-64-bit draw into an index by exact integer arithmetic against the rational
-cumulative table.  Identical seeds therefore reproduce identical batches
-on any platform; each probability is realized to within ``2**-64``.
+64-bit draw ``u`` against integer masses with running totals ``c_i`` and
+total ``T`` into the first index with ``c_i * 2**64 > u * T``.  For
+integers that is ``c_i > (u * T) >> 64``, so one bisection finds it.
+Identical seeds therefore reproduce identical batches on any platform;
+each probability is realized to within ``2**-64``.
+
+An insertion step draws in two stages and lands on the same index as one
+draw over the flat list of all (location, vertex) pairs.  The weight a
+gap offers depends only on the two symbols that flank it, so the gap is
+drawn first from the per-gap totals, and the vertex from that gap's own
+running totals, against the same target less the totals of the gaps
+before it.  A flat running total is the gaps-before total plus the
+in-gap one, so both stages pick the first flat index past the target.
 """
 
 from __future__ import annotations
@@ -28,11 +38,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Mapping, Sequence
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
 from .buildings import (Word, BuildOrder, positive_words, _check_bound,
                         _scaled_building)
@@ -141,18 +153,18 @@ def stationarity_check(g: WeightedGraph, n: int) -> tuple[bool, Fraction]:
     return defect == 0, defect
 
 
-def _draw_index(rng: random.Random, cumulative: list[int], total: int) -> int:
+def _draw_target(rng: random.Random, total: int) -> int:
+    """Target of a 64-bit uniform draw against integer masses summing to ``total``.
+
+    The drawn index is the first whose running total exceeds the target
+    (see the module docstring).
+    """
+    return (rng.getrandbits(64) * total) >> 64
+
+
+def _draw_index(rng: random.Random, cumulative: Sequence[int], total: int) -> int:
     """Exact inverse transform of a 64-bit uniform draw against integer masses."""
-    u = rng.getrandbits(64)
-    target = u * total
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] << 64 > target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_right(cumulative, _draw_target(rng, total))
 
 
 def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch:
@@ -175,34 +187,46 @@ def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch
     return SampleBatch(g, n, seed, out)
 
 
-def _insertion_candidates(g: WeightedGraph, word: list[int]
-                          ) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Candidate (location, vertex, scaled weight) triples for one insertion.
+class _GapRow(NamedTuple):
+    """Insertion weights of one gap: the vertices that fit, in order."""
 
-    Returned with the running totals of their weights.  Weights are scaled
-    to the common denominator squared so that end insertions (one edge
-    factor) and interior insertions (two factors) are comparable integers.
-    The empty word admits every vertex with equal weight.
+    vertices: list[int]
+    weights: list[int]
+    cumulative: list[int]
+    total: int
+
+
+class _GapRows(dict):
+    """Gap rows of one graph, built on first use and keyed by flanks.
+
+    Key ``(a, b)`` is the pair of symbols around the gap, with ``q``
+    standing for an absent flank at an end of the word.  Its row holds the
+    vertices ``v`` with ``l(a, v) * l(v, b) > 0`` and those products,
+    scaled by the common denominator squared so that end insertions (one
+    edge factor, the absent flank counting ``D``) and interior insertions
+    (two factors) are comparable integers.  The empty word's one gap is
+    ``(q, q)``, which admits every vertex with equal weight.  A word
+    reaches few flank pairs, and all ``(q + 1)**2`` rows would not fit at
+    large ``q``, so no dense table is built.
     """
-    num = g._num
-    den = g._den
-    i = len(word)
-    cands: list[tuple[int, int, int]] = []
-    cumulative: list[int] = []
-    total = 0
-    for j in range(i + 1):
-        for v in range(g.vertex_count):
-            left = num[word[j - 1]][v] if j > 0 else den
-            if not left:
-                continue
-            right = num[v][word[j]] if j < i else den
-            if not right:
-                continue
-            wgt = left * right
-            cands.append((j, v, wgt))
-            total += wgt
-            cumulative.append(total)
-    return cands, cumulative
+
+    def __init__(self, g: WeightedGraph):
+        super().__init__()
+        self.graph = g
+
+    def __missing__(self, key: tuple[int, int]) -> _GapRow:
+        g = self.graph
+        q = g.vertex_count
+        a, b = key
+        lefts = g._num[a] if a < q else repeat(g._den, q)
+        rights = [row[b] for row in g._num] if b < q else repeat(g._den, q)
+        products = list(map(mul, lefts, rights))
+        weights = [w for w in products if w]
+        cumulative = list(accumulate(weights))
+        row = self[key] = _GapRow([v for v, w in enumerate(products) if w],
+                                  weights, cumulative,
+                                  cumulative[-1] if cumulative else 0)
+        return row
 
 
 def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOrder]:
@@ -213,18 +237,31 @@ def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOr
     end insertions carry one factor, interior insertions two.  Returns the
     word together with the build order it traced (``order[t]`` is the
     final position of the ``t``-th arrival).
+
+    The step draws the gap from the per-gap totals, then the vertex from
+    that gap's row (see the module docstring); an insertion splits one gap
+    total into two.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     rng = random.Random(seed)
+    rows = _GapRows(g)
+    end = g.vertex_count
     word: list[int] = []
     arrival: list[int] = []
+    totals = [rows[end, end].total]
     for step in range(n):
-        cands, cumulative = _insertion_candidates(g, word)
-        if not cands:
+        cumulative = list(accumulate(totals, initial=0))
+        if not cumulative[-1]:
             raise DeadEndError(
                 f"no insertion has positive weight at length {step}")
-        j, v, _ = cands[_draw_index(rng, cumulative, cumulative[-1])]
+        target = _draw_target(rng, cumulative[-1])
+        j = bisect_right(cumulative, target) - 1
+        a = word[j - 1] if j else end
+        b = word[j] if j < step else end
+        row = rows[a, b]
+        v = row.vertices[bisect_right(row.cumulative, target - cumulative[j])]
+        totals[j:j + 1] = rows[a, v].total, rows[v, b].total
         word.insert(j, v)
         arrival.insert(j, step)
     order = [0] * n
@@ -236,24 +273,28 @@ def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOr
 def insertion_law(g: WeightedGraph, n: int) -> dict[Word, Fraction]:
     """Exact distribution of :func:`sample_insertion` outputs at length ``n``.
 
-    Dynamic program over growing words; probabilities are exact rationals
-    summing to one.  Refused when ``q**n`` exceeds the enumeration bound.
+    Dynamic program over growing words, reading the gap rows the sampler
+    draws from; probabilities are exact rationals summing to one.  Refused
+    when ``q**n`` exceeds the enumeration bound.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     _check_bound(g.vertex_count, n)
+    rows = _GapRows(g)
+    end = (g.vertex_count,)
     states: dict[Word, Fraction] = {(): Fraction(1)}
     for _ in range(n):
         nxt: dict[Word, Fraction] = {}
         for word, prob in states.items():
-            cands, cumulative = _insertion_candidates(g, list(word))
-            if not cands:
+            gaps = [rows[flanks] for flanks in zip(end + word, word + end)]
+            total = sum(row.total for row in gaps)
+            if not total:
                 raise DeadEndError(
                     f"no insertion has positive weight from word {word}")
-            total = cumulative[-1]
-            for j, v, wgt in cands:
-                child = word[:j] + (v,) + word[j:]
-                nxt[child] = nxt.get(child, Fraction(0)) + prob * Fraction(wgt, total)
+            for j, row in enumerate(gaps):
+                for v, wgt in zip(row.vertices, row.weights):
+                    child = word[:j] + (v,) + word[j:]
+                    nxt[child] = nxt.get(child, Fraction(0)) + prob * Fraction(wgt, total)
         states = nxt
     return states
 

@@ -2,8 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from insertproc import (DeadEndError, WeightedGraph, building_count,
                         multipartite_graph, proper_coloring_windows,
                         sample_exact, sample_insertion, sample_sft,
                         stationarity_check)
-from insertproc.process import _chi2_sf
+from insertproc.fixtures import GRAPH_FIXTURES, load_graph_fixture
+from insertproc.process import _GapRows, _chi2_sf, _draw_index
 
 
 def test_marginal_k3_values():
@@ -155,9 +157,9 @@ def test_sample_exact_frequencies():
 def test_insertion_step_normalizer_complete_graphs():
     # on a complete graph the per-step total weight depends only on the
     # current length: ends offer 2(q-1), each interior slot q-2
-    from insertproc.process import _insertion_candidates
     for q in range(2, 7):
         g = complete_graph(q)
+        rows = _GapRows(g)
         rng = random.Random(q)
         for i in range(1, 9):
             word = [rng.randrange(q)]
@@ -165,8 +167,132 @@ def test_insertion_step_normalizer_complete_graphs():
                 v = rng.randrange(q)
                 if v != word[-1]:
                     word.append(v)
-            _, cumulative = _insertion_candidates(g, word)
-            assert cumulative[-1] == 2 * (q - 1) + (i - 1) * (q - 2)
+            flanks = zip([q] + word, word + [q])
+            assert sum(rows[f].total for f in flanks) == 2 * (q - 1) + (i - 1) * (q - 2)
+
+
+class _FixedBits:
+    """Stands in for the generator: every 64-bit draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def getrandbits(self, k):
+        assert k == 64
+        return self.u
+
+
+def _binary_search_index(u, cumulative, total):
+    """The first index whose running total ``c`` has ``c * 2**64 > u * total``."""
+    target = u * total
+    lo, hi = 0, len(cumulative) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cumulative[mid] << 64 > target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_draw_index_matches_the_binary_search():
+    rng = random.Random(5)
+    wide = 0
+    for trial in range(400):
+        size = rng.randint(1, 40)
+        bits = rng.choice((1, 8, 64, 70, 130))
+        cumulative = list(accumulate(rng.randrange(2 ** bits) + 1
+                                     for _ in range(size)))
+        total = cumulative[-1]
+        wide += total > 2 ** 64
+        us = [0, 2 ** 64 - 1, rng.getrandbits(64)]
+        # the least draw that passes a chosen running total
+        c = rng.choice(cumulative)
+        us.append(-(-(c << 64) // total) if c < total else 2 ** 64 - 1)
+        for u in us:
+            assert (_draw_index(_FixedBits(u), cumulative, total)
+                    == _binary_search_index(u, cumulative, total)), (trial, u)
+    assert wide > 100
+
+
+def _flat_sample_insertion(g, n, seed):
+    """Reference sampler: one draw per step over every (gap, vertex) pair."""
+    num, den, q = g._num, g._den, g.vertex_count
+    rng = random.Random(seed)
+    word, arrival = [], []
+    for step in range(n):
+        cands, cumulative, total = [], [], 0
+        for j in range(step + 1):
+            for v in range(q):
+                left = num[word[j - 1]][v] if j > 0 else den
+                right = num[v][word[j]] if j < step else den
+                if left and right:
+                    total += left * right
+                    cands.append((j, v))
+                    cumulative.append(total)
+        if not cands:
+            raise DeadEndError(f"no insertion has positive weight at length {step}")
+        j, v = cands[_binary_search_index(rng.getrandbits(64), cumulative, total)]
+        word.insert(j, v)
+        arrival.insert(j, step)
+    order = [0] * n
+    for pos, t in enumerate(arrival):
+        order[t] = pos
+    return tuple(word), tuple(order)
+
+
+def _random_tables(count, seed):
+    # directed rational tables; some rows all zero, loops allowed
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(0, 9), rng.randint(1, 5))
+                 if rng.random() < 0.6 else 0 for _ in range(q)]
+                for _ in range(q)]
+        for i in rng.sample(range(q), rng.randint(0, q // 2)):
+            rows[i] = [0] * q
+        yield WeightedGraph(rows)
+
+
+def _outcome(sampler, g, n, seed):
+    try:
+        return sampler(g, n, seed)
+    except DeadEndError as exc:
+        return str(exc)
+
+
+def test_sample_insertion_matches_the_flat_sampler():
+    graphs = [load_graph_fixture(name) for name in sorted(GRAPH_FIXTURES)]
+    graphs += _random_tables(20, 11)
+    dead_ends = 0
+    for g in graphs:
+        for n in (0, 1, 2, 7, 30, 80):
+            for seed in range(10):
+                got = _outcome(sample_insertion, g, n, seed)
+                assert got == _outcome(_flat_sample_insertion, g, n, seed), (g, n, seed)
+                dead_ends += isinstance(got, str)
+    assert dead_ends > 0
+
+
+def test_sample_insertion_stream_is_pinned():
+    # drawn by the flat-candidate sampler before the two-stage draw
+    assert sample_insertion(complete_graph(4), 30, 7) == (
+        (2, 3, 2, 1, 2, 1, 0, 2, 0, 1, 3, 0, 1, 2, 1, 2, 0, 1, 3, 0, 1, 2, 0,
+         2, 0, 1, 3, 1, 2, 1),
+        (26, 23, 11, 27, 7, 25, 28, 9, 5, 12, 8, 18, 4, 13, 29, 24, 20, 1, 22,
+         0, 6, 19, 3, 10, 14, 15, 16, 21, 2, 17))
+
+
+def test_sample_insertion_builds_no_dense_flank_table():
+    # (q + 1)**2 gap rows of K300 would hold about 27 million integers
+    g = complete_graph(300)
+    tracemalloc.start()
+    try:
+        sample_insertion(g, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_sample_insertion_trace():
