@@ -48,16 +48,21 @@ Two exact kernels serve two call patterns:
 * **Every word of a length** (the marginals and exact sampler of
   :mod:`insertproc.process`, the consistency and k-dependence sweeps, and
   :func:`recurrence_sweep`) runs the one memoized kernel: the deletion
-  recurrence for ``R``, memoized per graph on subwords, with ``B`` taken
-  as ``w * R``.  In a sweep every child of a word was already counted, so
-  each word costs O(n) cache lookups; the interval DP would redo O(n^3)
-  work per word and is measurably slower there.  On a single cold word
-  the memo touches up to ``2^n`` subwords, which is why single charts do
+  recurrence for ``R``, memoized per graph by prefix, with ``B`` taken as
+  ``w * R``.  The memo holds one *row* per prefix ``u``: ``R(u a)`` for
+  every vertex ``a``, filled from the rows of ``u[1:]``, ``u[:-1]`` and
+  ``u`` with one interior position removed.  A sweep walks the positive
+  prefixes in lexicographic order and reads each row once for all the
+  extensions of its prefix, so each prefix costs O(n) row lookups and
+  fills one row of ``q`` values; the interval DP would redo O(n^3) work
+  per word and is measurably slower there.  On a single cold word the
+  memo touches up to ``2^(n-1)`` prefixes, which is why single charts do
   not use it.  The memo is keyed on *twin classes*: vertices with the
   same row and the same column of the scaled table give every pair the
   same weight, so ``R`` depends only on the word of class
-  representatives.  A complete multipartite graph thus stores only words
-  of the complete graph it projects onto.
+  representatives.  A complete multipartite graph thus stores only
+  prefixes of the complete graph it projects onto; their rows are still
+  indexed by every vertex, twins having equal entries.
 """
 
 from __future__ import annotations
@@ -213,55 +218,74 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int]) -> Fraction
     return Fraction(total, den ** max_edges)
 
 
-def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
-    """Reduced count scaled by ``D^(len-1)``; the one memoized kernel.
+def _prefix_row(g: WeightedGraph, u: Word) -> Sequence[int]:
+    """Row of the prefix ``u``: ``R(u a) * D^len(u)`` for every vertex ``a``.
 
-    The word is mapped to its twin classes once, here, and the memo is
-    keyed on the class word.
+    The row is indexed by the vertices of the graph as given; twins have
+    equal entries, so a caller indexes it by the original last symbol.
+    The prefix is mapped to its twin classes once, here, and the memo is
+    keyed on the class word.  The row is shared with the memo and must
+    not be changed.
     """
-    m = len(w)
-    if m <= 2:
-        return 2 * g._den if m == 2 else 1
+    m = len(u)
+    if m <= 1:
+        return [1 if m == 0 else 2 * g._den] * g.vertex_count
     twin = g._twin
     if twin is not None:
         # with more than one index, itemgetter returns a tuple
-        w = itemgetter(*w)(twin)
-    cache = g._tcache
-    v = cache.get(w)
-    return _fill_reduced(cache, g._num, g._den, w) if v is None else v
+        u = itemgetter(*u)(twin)
+    row = g._tcache.get(u)
+    return _fill_row(g._tcache, g._num, g._den, u) if row is None else row
 
 
-def _fill_reduced(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
-                  w: Word) -> int:
-    """Count and store a class word of length >= 3 that the memo lacks.
+def _fill_row(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
+              u: Word, head: Sequence[int] | None = None) -> list[int]:
+    """Count and store the row of a class prefix of length >= 2 that the memo lacks.
 
-    Its children are class words too; each is looked up inline, so a
-    Python call is made only for a child that the memo also lacks.
+    Deleting a position of ``u a`` leaves ``u`` (factor ``D``), ``u[1:] a``
+    (``D``), ``(u with interior position i removed) a`` (the weight across
+    the gap) or ``u[:-1] a`` (the weight from ``u[-2]`` to ``a``), so::
+
+        row(u)[a] = D R(u) + D row(u[1:])[a]
+                    + sum_i num[u_{i-1}][u_{i+1}] row(u without i)[a]
+                    + num[u[-2]][a] row(u[:-1])[a]
+
+    with ``R(u) = row(u[:-1])[u[-1]]``, all scaled.  Every child is a
+    class prefix one shorter; each is looked up inline, so a Python call
+    is made only for a child that the memo also lacks.  ``head`` is the
+    row of ``u[:-1]`` when the caller already holds it.
     """
-    m = len(w)
-    if m == 3:
-        # each of the three children is a pair, which counts 2 D
-        v = 2 * den * (2 * den + num[w[0]][w[2]])
+    m = len(u)
+    if m == 2:
+        # each child of u a is a pair, which counts 2 D
+        two = 2 * den
+        row = [two * (two + f) for f in num[u[0]]]
     else:
         get = cache.get
-        last = m - 1
-        child = w[1:]
-        v = get(child)
-        total = _fill_reduced(cache, num, den, child) if v is None else v
-        child = w[:last]
-        v = get(child)
-        total += _fill_reduced(cache, num, den, child) if v is None else v
-        total *= den
-        for i in range(1, last):
-            f = num[w[i - 1]][w[i + 1]]
+        if head is None:
+            child = u[:-1]
+            head = get(child) or _fill_row(cache, num, den, child)
+        child = u[1:]
+        tail = get(child) or _fill_row(cache, num, den, child)
+        base = den * head[u[-1]]
+        row = [base + den * t + f * h
+               for t, f, h in zip(tail, num[u[-2]], head)]
+        for i in range(1, m - 1):
+            f = num[u[i - 1]][u[i + 1]]
             if f:
-                child = w[:i] + w[i + 1:]
-                v = get(child)
-                total += f * (_fill_reduced(cache, num, den, child)
-                              if v is None else v)
-        v = total
-    cache[w] = v
-    return v
+                child = u[:i] + u[i + 1:]
+                inner = get(child) or _fill_row(cache, num, den, child)
+                row = [r + f * c for r, c in zip(row, inner)]
+    cache[u] = row
+    return row
+
+
+def _scaled_reduced(g: WeightedGraph, w: Word) -> int:
+    """Reduced count scaled by ``D^(len-1)``: one entry of a prefix row."""
+    m = len(w)
+    if m <= 2:
+        return 2 * g._den if m == 2 else 1
+    return _prefix_row(g, w[:-1])[w[-1]]
 
 
 def _scaled_building(g: WeightedGraph, w: Word) -> int:
@@ -278,6 +302,39 @@ def _scaled_building(g: WeightedGraph, w: Word) -> int:
         if not spine:
             return 0
     return spine * _scaled_reduced(g, w)
+
+
+def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
+    """``B * D^(2n-2)`` of each positive word of length ``n``, in lexicographic order.
+
+    A depth-first walk over the positive prefixes carries each prefix's
+    scaled pair weight product and row: a row is filled from its parent's
+    and read once for all the extensions of its prefix.  ``B = w * R`` and
+    ``R >= 1`` (the left-to-right arrival order adds no other link), so
+    exactly these words have positive building count.
+    """
+    if n <= 1:
+        return dict.fromkeys(positive_words(g, n), 1)
+    num, den, out, twin, cache = g._num, g._den, g._out, g._twin, g._tcache
+    masses = {}
+    # one entry per prefix: the prefix, its pair weight product and its row
+    stack = [((v,), 1, _prefix_row(g, (v,)))
+             for v in reversed(range(g.vertex_count))]
+    while stack:
+        u, spine, row = stack.pop()
+        last = u[-1]
+        links = num[last]
+        if len(u) == n - 1:
+            for a in out[last]:
+                masses[u + (a,)] = spine * links[a] * row[a]
+            continue
+        # pushed in reverse, so that the least extension is popped first
+        for a in reversed(out[last]):
+            w = u + (a,)
+            key = w if twin is None else itemgetter(*w)(twin)
+            stack.append((w, spine * links[a],
+                          cache.get(key) or _fill_row(cache, num, den, key, row)))
+    return masses
 
 
 def _interval_scaled(g: WeightedGraph, word: Sequence[Sequence[int]],
@@ -545,18 +602,18 @@ def recurrence_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
 
     Same indexing and scaling conventions as :func:`bruteforce_sweep` (here
     the scale is ``D^(2m-2)``).  Values are exact Python ints in object
-    arrays, taken as ``w * R`` over :func:`positive_words` and zero at every
-    other index.
+    arrays, taken as ``w * R`` over the positive words, by prefix row, and
+    zero at every other index.
     """
     import numpy as np
     q = g.vertex_count
     out: dict[int, tuple[np.ndarray, int]] = {}
     for m in range(max_len + 1):
         values = np.zeros(q ** m, dtype=object)
-        for word in positive_words(g, m):
+        for word, mass in _scaled_buildings(g, m).items():
             idx = 0
             for s in word:
                 idx = idx * q + s
-            values[idx] = _scaled_building(g, word)
+            values[idx] = mass
         out[m] = (values, g._den ** max(0, 2 * m - 2))
     return out

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .buildings import (Word, reduced_count, _check_bound, _scaled_reduced,
-                        _sized_links, _twin_quotient, _walks)
+from .buildings import (Word, reduced_count, _check_bound, _prefix_row,
+                        _scaled_reduced, _sized_links, _twin_quotient, _walks)
 from .graphs import WeightedGraph, complete_graph, uniform_weight
 
 __all__ = [
@@ -127,10 +128,9 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
         anchor_base = None
         for word in _walks(out, n, reps):
             base = _scaled_reduced(g, word)
-            last = word[-1]
-            row = right_links[last]
-            right = sum(row[v] * _scaled_reduced(g, word + (v,))
-                        for v in out[last])
+            # the word's row holds every right extension; a link is zero
+            # off the positive out-row and at every vertex outside ``reps``
+            right = sum(map(mul, right_links[word[-1]], _prefix_row(g, word)))
             first = word[0]
             left = sum(left_links[u][first] * _scaled_reduced(g, (u,) + word)
                        for u in into[first])

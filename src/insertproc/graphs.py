@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 WeightLike = Union[int, str, Fraction]
@@ -50,7 +51,11 @@ __all__ = [
 ]
 
 
-def _as_weight(value: WeightLike) -> Fraction:
+def _as_weight(value: WeightLike) -> Union[int, Fraction]:
+    # a plain non-negative int is its own exact weight; a bool is an int
+    # subclass and goes through Fraction like any other value
+    if type(value) is int and value >= 0:
+        return value
     try:
         w = Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -105,19 +110,19 @@ class WeightedGraph:
         for row in rows:
             if len(row) != n:
                 raise ValueError("weight table must be square")
-            table.append(tuple(_as_weight(w) for w in row))
+            table.append(tuple(map(_as_weight, row)))
         self.vertex_count = n
-        den = 1
-        for row in table:
-            for w in row:
-                den = lcm(den, w.denominator)
+        # an int weight has denominator 1
+        den = lcm(*{w.denominator for row in table for w in row})
         self._den = den
-        self._num = tuple(tuple(w.numerator * (den // w.denominator) for w in row)
-                          for row in table)
-        self._out = tuple(tuple(j for j in range(n) if self._num[i][j] > 0)
-                          for i in range(n))
-        self._in = tuple(tuple(i for i in range(n) if self._num[i][j] > 0)
-                         for j in range(n))
+        self._num = num = tuple(
+            tuple(map(attrgetter("numerator"), row)) if den == 1
+            else tuple(w.numerator * (den // w.denominator) for w in row)
+            for row in table)
+        # no weight is negative, so the positive ones are the true ones
+        vertices = tuple(range(n))
+        self._out = tuple(tuple(compress(vertices, row)) for row in num)
+        self._in = tuple(tuple(compress(vertices, col)) for col in zip(*num))
         self._twin = _twin_classes(self._num)
         self._hash = hash((den, self._num))
         self._tcache: dict = {}

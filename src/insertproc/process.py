@@ -46,8 +46,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .buildings import (Word, BuildOrder, positive_words, _check_bound,
-                        _scaled_building)
+from .buildings import Word, BuildOrder, _check_bound, _scaled_buildings
 from .graphs import WeightedGraph
 
 __all__ = [
@@ -107,11 +106,10 @@ def _check_window(g: WeightedGraph, n: int) -> None:
 def _scaled_masses(g: WeightedGraph, n: int) -> dict[Word, int]:
     """Positive scaled building counts ``B * D^(2n-2)`` of the length-``n`` words.
 
-    Enumerates positive-weight words only: ``B = w * R`` and ``R >= 1``
-    (the left-to-right arrival order adds no other link), so exactly these
-    words have positive building count.
+    In lexicographic order; exactly the positive-weight words have
+    positive building count.
     """
-    masses = {w: _scaled_building(g, w) for w in positive_words(g, n)}
+    masses = _scaled_buildings(g, n)
     if not masses:
         raise ValueError("no word of this length has positive building count")
     return masses
@@ -125,7 +123,10 @@ def marginal(g: WeightedGraph, n: int) -> Marginal:
     _check_window(g, n)
     masses = _scaled_masses(g, n)
     total = sum(masses.values())
-    table = {w: Fraction(v, total) for w, v in masses.items()}
+    # many words share a mass, and a Fraction is immutable, so the table
+    # shares one probability per distinct mass
+    probs = {v: Fraction(v, total) for v in set(masses.values())}
+    table = {w: probs[v] for w, v in masses.items()}
     return Marginal(n, table, Fraction(total, g._den ** (2 * n - 2)))
 
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from insertproc import (WeightedGraph, building_count,
                         building_count_bruteforce, building_weight,
                         check_k_dependence, complete_graph, constraint_graph,
-                        cycle_graph, kite_graph, multipartite_graph,
-                        block_projection, classify_multipartite, gap_sum,
-                        marginal, positive_words, reduced_count, word_weight)
+                        check_consistency, cycle_graph, kite_graph,
+                        multipartite_graph, block_projection,
+                        classify_multipartite, gap_sum, marginal,
+                        positive_words, reduced_count, word_weight)
 from insertproc.buildings import (_interval_scaled, _scaled_building,
                                   _scaled_reduced, bruteforce_sweep,
                                   constraint_edge_classes, recurrence_sweep)
@@ -370,19 +371,19 @@ def test_sweeps_fill_only_the_memo_of_reduced_counts():
 
 
 def test_memo_has_no_size_cap():
-    # sweeps are bounded where they are entered, so the memo keeps every
-    # word however large it has grown
+    # sweeps are bounded where they are entered, so the memo keeps the row
+    # of every prefix however large it has grown
     g = complete_graph(3)
     g._tcache.update(dict.fromkeys(range(400_000), 0))
     marginal(g, 8)
-    assert all(w in g._tcache for w in positive_words(g, 8))
+    assert all(u in g._tcache for u in positive_words(g, 7))
 
 
-def test_memo_keyed_on_twin_classes_counts_like_the_chart():
-    # looped random tables on three vertices, with vertex 3 a copy of a
-    # random one; the memo holds class words, the chart the words as given
-    rng = random.Random(17)
-    for _ in range(3):
+def _twin_tables(seed, count):
+    """Looped random tables on three vertices, vertex 3 a copy of a random one."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
         rows = [[Fraction(rng.randint(0, 4), rng.choice([1, 2, 3]))
                  for _ in range(3)] for _ in range(3)]
         copy = rng.randrange(3)
@@ -391,6 +392,13 @@ def test_memo_keyed_on_twin_classes_counts_like_the_chart():
         rows.append(list(rows[copy]))
         g = WeightedGraph(rows)
         assert g._twin == tuple(copy if v == 3 else v for v in range(4))
+        graphs.append(g)
+    return graphs
+
+
+def test_memo_keyed_on_twin_classes_counts_like_the_chart():
+    # the memo holds class words, the chart the words as given
+    for g in _twin_tables(17, 3):
         for n in range(7):
             for w in itertools.product(range(4), repeat=n):
                 assert _scaled_reduced(g, w) == _interval_scaled(
@@ -401,3 +409,21 @@ def test_multipartite_memo_keeps_one_symbol_per_part():
     g = multipartite_graph(4, 2)
     marginal(g, 5)
     assert g._tcache and all(max(w) < 4 for w in g._tcache)
+
+
+@pytest.mark.parametrize("g", _twin_tables(23, 3) + [multipartite_graph(4, 2)],
+                         ids=["twin0", "twin1", "twin2", "k2222"])
+def test_every_stored_row_counts_like_the_chart(g):
+    # the sweeps fill the rows of positive prefixes; single lookups fill,
+    # on a miss, the rows of every prefix they reach, zero-weight ones too
+    q = g.vertex_count
+    recurrence_sweep(g, 6)
+    check_consistency(g, 5)
+    rng = random.Random(q)
+    for _ in range(20):
+        _scaled_reduced(g, tuple(rng.randrange(q) for _ in range(7)))
+    assert len(g._tcache) > 50
+    for u, row in g._tcache.items():
+        assert list(row) == [_interval_scaled(g, [(s,) for s in u + (a,)],
+                                              reduced=True)
+                             for a in range(q)], u

@@ -346,6 +346,31 @@ def test_vertex_count_bound_refuses_before_allocating():
         WeightedGraph.from_weights(3163, {})
 
 
+def test_sparse_document_builds_no_fraction_per_cell():
+    # the zeros that from_weights fills in are plain ints and stay ints;
+    # a Fraction in every cell of this table would peak at about 72 MB
+    tracemalloc.start()
+    try:
+        g = graph_from_json_dict({"vertices": 1000, "weights": [[0, 1, "1"]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20, peak
+    assert g.weight(0, 1) == 1 and g.weight(1, 0) == 0
+    assert g.out_neighbors(0) == (1,) and g.in_neighbors(1) == (0,)
+
+
+def test_int_cells_weigh_like_their_fractions():
+    ints = WeightedGraph([[0, 2, 1], [3, 0, 0], [1, 1, 7]])
+    assert ints == WeightedGraph([[Fraction(w) for w in row] for row in
+                                  [[0, 2, 1], [3, 0, 0], [1, 1, 7]]])
+    mixed = WeightedGraph([[0, "1/2"], [3, 1]])
+    assert mixed._den == 2 and mixed._num == ((0, 1), (6, 2))
+    assert mixed.weight(1, 0) == 3 and mixed.out_neighbors(0) == (1,)
+    with pytest.raises(ValueError, match="negative weight -1"):
+        WeightedGraph([[0, -1], [1, 0]])
+
+
 def test_json_errors():
     with pytest.raises(ValueError):
         graph_from_json_dict({"vertices": 2})

@@ -128,6 +128,31 @@ def test_sample_exact_determinism_and_support():
     assert all(all(x != y for x, y in zip(w, w[1:])) for w in a.words)
 
 
+# each index a draw lands on names a word through the lexicographic order
+# of the masses, so these batches pin that order as well as the masses
+PINNED_BATCHES = {
+    ("k4", 8, 0): ["12132313", "31231020", "01230121", "32121320",
+                   "13212013", "32010230", "30321232", "32123130"],
+    ("k4", 8, 2024): ["03023101", "20321203", "03120213", "23130303",
+                      "30103202", "30120103", "20202120", "21301030"],
+    ("k222", 6, 0): ["210512", "512054", "015432", "540421",
+                     "243420", "531042", "454320", "540504"],
+    ("k222", 6, 2024): ["102313", "324323", "105123", "421054",
+                        "431532", "432012", "315104", "351051"],
+    ("kite", 7, 0): ["1020120", "2121030", "0102102", "3021012",
+                     "1201201", "3012010", "2102120", "3021012"],
+    ("kite", 7, 2024): ["0202012", "1210210", "0210101", "2021021",
+                        "2101020", "2101020", "1202103", "2010210"],
+}
+
+
+@pytest.mark.parametrize("name, n, seed", sorted(PINNED_BATCHES))
+def test_sample_exact_batches_are_pinned(name, n, seed):
+    batch = sample_exact(load_graph_fixture(name), n, seed, 8)
+    assert ["".join(map(str, w)) for w in batch.words] == PINNED_BATCHES[
+        name, n, seed]
+
+
 def test_sample_exact_empty():
     assert sample_exact(complete_graph(3), 3, 0, 0).words == ()
 
