@@ -125,7 +125,6 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
     constants: dict[int, Fraction] = {}
     for n in range(1, max_len):
         anchor_right = None
-        anchor_base = None
         for word in _walks(out, n, reps):
             base = _scaled_reduced(g, word)
             # the word's row holds every right extension; a link is zero
@@ -136,24 +135,19 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
                        for u in into[first])
             if anchor_right is None:
                 anchor_right, anchor_base = right, base
+                expected = Fraction(right, base * den2)
                 # a zero anchor sum means no positive extension exists;
                 # the next length will be flagged degenerate instead of
                 # recording a non-positive constant here
                 if right != 0:
-                    constants[n] = Fraction(right, base * den2)
-            expected = Fraction(anchor_right, anchor_base * den2)
-            if right * anchor_base != anchor_right * base:
-                return ConsistencyReport(
-                    max_len, constants,
-                    ConsistencyCounterexample(word, "right",
-                                              Fraction(right, base * den2),
-                                              expected))
-            if left * anchor_base != anchor_right * base:
-                return ConsistencyReport(
-                    max_len, constants,
-                    ConsistencyCounterexample(word, "left",
-                                              Fraction(left, base * den2),
-                                              expected))
+                    constants[n] = expected
+            for side, total in (("right", right), ("left", left)):
+                if total * anchor_base != anchor_right * base:
+                    return ConsistencyReport(
+                        max_len, constants,
+                        ConsistencyCounterexample(
+                            word, side, Fraction(total, base * den2),
+                            expected))
         if anchor_right is None:
             return ConsistencyReport(max_len, constants, None, degenerate_at=n)
     return ConsistencyReport(max_len, constants, None, None)

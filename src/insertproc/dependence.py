@@ -29,12 +29,15 @@ which the sweep over all right words and middles shares.  A single pair
 (:func:`gap_sum`, each constant's anchor, and the re-check of a witness)
 is one chart of the interval DP of :mod:`insertproc.buildings` on the
 graph itself, with the ``k`` middle positions free, so it walks no
-middles.  The failing pairs are closed under twin substitution, and
-replacing symbols by representatives never raises a pair
-lexicographically, so the least failing pair is a pair of class words.
-A reported counterexample is re-canonicalized to it, so reports do not
-depend on the quotient or the symmetry reduction, and its lhs is
-recomputed by the chart before it is emitted.
+middles.  The sweep reports the first failing pair it meets, as
+:func:`insertproc.consistency.check_consistency` reports the first
+failing word.  That pair is the least failing pair over every word, so
+reports do not depend on the quotient or the symmetry reduction: the
+failing pairs are closed under twin substitution and under the
+size-keeping automorphisms, a representative never raises a pair
+lexicographically, and the left words kept are, in lexicographic order,
+the least of their orbits.  A witness's lhs is recomputed by the chart
+before it is emitted.
 """
 
 from __future__ import annotations
@@ -302,28 +305,24 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             # divide out of both sides
             anchor = b_x0 * b_y0
             r_ys = [_scaled_reduced(g, y) for y in ys]
-            failing: list[tuple[Word, Word]] = []
             for x in x_reps:
                 terms = _middles(links, out, x, k)
                 rhs_factor = lhs0 * _scaled_reduced(g, x)
                 for y, r_y in zip(ys, r_ys):
-                    lhs = _reduced_gap_sum(g, terms, y)
-                    if lhs * anchor != rhs_factor * r_y:
-                        failing.append((x, y))
-            if failing:
-                xw, yw = min((tuple(p[s] for s in xw), tuple(p[s] for s in yw))
-                             for xw, yw in failing for p in auts)
-                lhs = Fraction(_gap_chart(g, xw, yw, k),
-                               den ** (2 * (n + k + m) - 2))
-                expected = (constants[(n, m)] * building_count(g, xw)
-                            * building_count(g, yw))
-                if lhs == expected:
-                    raise RuntimeError(
-                        f"pair {xw}, {yw} fails on the memoized reduced count "
-                        f"but the interval DP gives lhs == expected == {lhs}")
-                return DependenceReport(
-                    k, max_left, max_right, constants,
-                    DependenceCounterexample(xw, yw, lhs, expected))
+                    if _reduced_gap_sum(g, terms, y) * anchor == rhs_factor * r_y:
+                        continue
+                    lhs = Fraction(_gap_chart(g, x, y, k),
+                                   den ** (2 * (n + k + m) - 2))
+                    expected = (constants[(n, m)] * building_count(g, x)
+                                * building_count(g, y))
+                    if lhs == expected:
+                        raise RuntimeError(
+                            f"pair {x}, {y} fails on the memoized reduced "
+                            f"count but the interval DP gives lhs == expected "
+                            f"== {lhs}")
+                    return DependenceReport(
+                        k, max_left, max_right, constants,
+                        DependenceCounterexample(x, y, lhs, expected))
     return DependenceReport(k, max_left, max_right, constants, None)
 
 

@@ -170,13 +170,23 @@ class WeightedGraph:
             rows[a][b] = w
         return cls(rows)
 
+    def _vertex(self, v) -> int:
+        """``v`` as a vertex index; bools would index as 0 and 1 and are refused."""
+        try:
+            if isinstance(v, bool):
+                raise TypeError
+            i = index(v)
+        except TypeError:
+            raise ValueError(
+                f"vertex {v!r} is not an integer: non-integer vertices are "
+                "refused") from None
+        if not 0 <= i < self.vertex_count:
+            raise ValueError(f"vertex {v!r} out of range")
+        return i
+
     def weight(self, i: int, j: int) -> Fraction:
         """Exact weight of the ordered pair ``(i, j)``; bools are not vertices."""
-        if isinstance(i, bool) or isinstance(j, bool):
-            raise ValueError(f"vertex pair ({i!r}, {j!r}) has non-integer vertices")
-        if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
-            raise ValueError(f"vertex pair ({i}, {j}) out of range")
-        return Fraction(self._num[i][j], self._den)
+        return Fraction(self._num[self._vertex(i)][self._vertex(j)], self._den)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         return self._out[i]
@@ -470,15 +480,16 @@ def block_projection(g: WeightedGraph, classification: MultipartiteClassificatio
     """
     if not classification.is_complete_multipartite or classification.parts is None:
         raise ValueError("classification does not describe a complete multipartite graph")
-    index = {}
+    part_of = {}
     for p, part in enumerate(classification.parts):
         for v in part:
-            index[v] = p
+            part_of[v] = p
     out = []
     for s in word:
-        if s not in index:
+        v = g._vertex(s)
+        if v not in part_of:
             raise ValueError(f"symbol {s!r} outside the vertex set")
-        out.append(index[s])
+        out.append(part_of[v])
     return tuple(out)
 
 

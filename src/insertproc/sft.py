@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 from .buildings import Word
@@ -59,19 +60,25 @@ class ShiftOfFiniteType:
             raise ValueError("alphabet size must be positive")
         if self.n < 1:
             raise ValueError("window length must be positive")
-        # checked before the set is formed, where (0, True) would merge into (0, 1)
-        windows = [tuple(t) for t in self.allowed]
-        if not windows:
-            raise ValueError("allowed window set must be nonempty")
-        for t in windows:
+        windows = []
+        for t in map(tuple, self.allowed):
             if len(t) != self.n:
                 raise ValueError(f"window {t!r} does not have length {self.n}")
-            if not all(type(s) is int for s in t):
-                raise ValueError(f"window {t!r} has non-integer symbols")
+            # checked before the set is formed, where (0, True) would merge
+            # into (0, 1); numpy integers are stored as plain ints
+            try:
+                if any(isinstance(s, bool) for s in t):
+                    raise TypeError
+                t = tuple(map(index, t))
+            except TypeError:
+                raise ValueError(f"window {t!r} has non-integer symbols") from None
             if not all(0 <= s < self.q for s in t):
                 raise ValueError(f"window {t!r} has symbols outside the alphabet")
             if len(set(t)) == 1:
                 raise ValueError(f"constant window {t!r} is not allowed")
+            windows.append(t)
+        if not windows:
+            raise ValueError("allowed window set must be nonempty")
         object.__setattr__(self, "allowed", frozenset(windows))
 
     @classmethod

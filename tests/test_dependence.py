@@ -202,7 +202,11 @@ def test_class_sweep_matches_every_pair_by_gap_sum():
         rng.shuffle(part)
         blown_up.append(WeightedGraph([[int(a != b) for b in part]
                                        for a in part]))
-    for g in [*_tables_with_copies(12), *blown_up]:
+    # automorphism (0 1)(2 3), and the least failing pair ((2,), (0,)) has
+    # a left word past the first orbit representative
+    swapped = WeightedGraph([[1, 1, 1, 1], [1, 1, 1, 1], [1, 3, 2, 2],
+                             [3, 1, 2, 2]])
+    for g in [*_tables_with_copies(12), *blown_up, swapped]:
         for k in range(3):
             report = check_k_dependence(g, k, 3, 3, consistency=stand_in)
             assert report.to_json_dict() == _dependence_by_gap_sum(

@@ -235,6 +235,16 @@ def test_block_projection_values():
         block_projection(g, cls, (0, 9))
 
 
+def test_block_projection_rejects_non_integer_symbols():
+    # True and 1.0 would otherwise project as vertex 1
+    g = multipartite_graph(2, 2)
+    cls = classify_multipartite(g)
+    for word in ([True, 0], [1.0, 2]):
+        with pytest.raises(ValueError, match="non-integer vertices"):
+            block_projection(g, cls, word)
+    assert block_projection(g, cls, [np.int64(1), 2]) == (1, 0)
+
+
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 4), (2, 6)])
 def test_block_projection_preserves_weights(q, r):
     g = multipartite_graph(q, r, Fraction(3, 4))
@@ -413,6 +423,15 @@ def test_weight_rejects_bool_vertices():
         with pytest.raises(ValueError, match="non-integer vertices"):
             g.weight(i, j)
     assert g.weight(np.int64(1), 0) == 1
+
+
+def test_weight_rejects_float_vertices():
+    g = complete_graph(3)
+    for i, j in ((1.0, 2), (0, 2.0)):
+        with pytest.raises(ValueError, match="non-integer vertices"):
+            g.weight(i, j)
+    with pytest.raises(ValueError, match="out of range"):
+        g.weight(0, 3)
 
 
 def test_from_weights_rejects_bool_vertex_count():

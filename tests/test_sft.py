@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from insertproc import (ShiftOfFiniteType, check_consistency, check_lr,
@@ -228,6 +229,14 @@ def test_json_rejects_bools(doc, message):
 def test_validation_rejects_bools(q, n, window, message):
     with pytest.raises(ValueError, match=message):
         ShiftOfFiniteType(q, n, frozenset([window]))
+
+
+def test_numpy_symbols_are_stored_as_ints():
+    s = ShiftOfFiniteType(2, 2, [(np.int64(0), 1), (1, np.int32(0))])
+    assert s == ShiftOfFiniteType(2, 2, [(0, 1), (1, 0)])
+    assert all(type(a) is int for t in s.allowed for a in t)
+    with pytest.raises(ValueError, match="non-integer"):
+        ShiftOfFiniteType(2, 2, [(0.0, 1), (1, 0)])
 
 
 def test_from_windows_rejects_bool_symbols():
