@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+def _integer(v) -> int:
+    """``v`` through ``operator.index``; a bool, an int subclass, raises ``TypeError``."""
+    if isinstance(v, bool):
+        raise TypeError
+    return index(v)
+
+
 def _as_weight(value: WeightLike) -> Union[int, Fraction]:
     # a plain non-negative int is its own exact weight; a bool is an int
     # subclass and goes through Fraction like any other value
@@ -173,9 +180,7 @@ class WeightedGraph:
     def _vertex(self, v) -> int:
         """``v`` as a vertex index; bools would index as 0 and 1 and are refused."""
         try:
-            if isinstance(v, bool):
-                raise TypeError
-            i = index(v)
+            i = _integer(v)
         except TypeError:
             raise ValueError(
                 f"vertex {v!r} is not an integer: non-integer vertices are "
@@ -189,10 +194,10 @@ class WeightedGraph:
         return Fraction(self._num[self._vertex(i)][self._vertex(j)], self._den)
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return self._out[i]
+        return self._out[self._vertex(i)]
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return self._in[j]
+        return self._in[self._vertex(j)]
 
     def positive_edges(self) -> Iterator[tuple[int, int, Fraction]]:
         for i in range(self.vertex_count):

@@ -31,6 +31,15 @@ drawn first from the per-gap totals, and the vertex from that gap's own
 running totals, against the same target less the totals of the gaps
 before it.  A flat running total is the gaps-before total plus the
 in-gap one, so both stages pick the first flat index past the target.
+
+Exact laws are carried on integers.  :func:`insertion_law` keeps an
+integer numerator and denominator per word; shares that reach a word
+over one denominator add their numerators, so on graphs whose step
+totals do not depend on the word every word of a step shares one
+denominator, the product of the step totals.  A ``Fraction`` is built
+per word only when the law is returned.  :func:`insertion_marginal_gap`
+and :func:`stationarity_check` compare those numerators and the scaled
+building counts by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .buildings import Word, BuildOrder, _check_bound, _scaled_buildings
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _integer
 
 __all__ = [
     "Marginal",
@@ -81,7 +90,13 @@ class Marginal:
     normalizer: Fraction
 
     def probability(self, word: Sequence[int]) -> Fraction:
-        return self.table.get(tuple(word), Fraction(0))
+        """Probability of ``word``; bools and non-integer symbols are refused."""
+        word = tuple(word)
+        try:
+            key = tuple(map(_integer, word))
+        except TypeError:
+            raise ValueError(f"word {word!r} has non-integer symbols") from None
+        return self.table.get(key, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -107,8 +122,9 @@ def _scaled_masses(g: WeightedGraph, n: int) -> dict[Word, int]:
     """Positive scaled building counts ``B * D^(2n-2)`` of the length-``n`` words.
 
     In lexicographic order; exactly the positive-weight words have
-    positive building count.
+    positive building count.  The window is checked first.
     """
+    _check_window(g, n)
     masses = _scaled_buildings(g, n)
     if not masses:
         raise ValueError("no word of this length has positive building count")
@@ -120,7 +136,6 @@ def marginal(g: WeightedGraph, n: int) -> Marginal:
 
     Refused when ``q**n`` exceeds the enumeration bound.
     """
-    _check_window(g, n)
     masses = _scaled_masses(g, n)
     total = sum(masses.values())
     # many words share a mass, and a Fraction is immutable, so the table
@@ -135,22 +150,23 @@ def stationarity_check(g: WeightedGraph, n: int) -> tuple[bool, Fraction]:
 
     Returns ``(consistent, defect)`` where ``defect`` is the largest
     absolute difference over words and sides; exact zero when consistent.
+    With ``P_n = M / T`` and ``P_{n+1} = M' / T'`` over integers, each
+    difference is ``|D T - M T'| / (T T')``, ``D`` a sum of ``M'``.
     """
-    p_n = marginal(g, n)
-    p_n1 = marginal(g, n + 1)
-    drop_last: dict[Word, Fraction] = {}
-    drop_first: dict[Word, Fraction] = {}
-    for word, prob in p_n1.table.items():
-        drop_last[word[:-1]] = drop_last.get(word[:-1], Fraction(0)) + prob
-        drop_first[word[1:]] = drop_first.get(word[1:], Fraction(0)) + prob
-    defect = Fraction(0)
-    words = set(p_n.table) | set(drop_last) | set(drop_first)
-    for w in words:
-        base = p_n.table.get(w, Fraction(0))
+    masses = _scaled_masses(g, n)
+    longer = _scaled_masses(g, n + 1)
+    total, longer_total = sum(masses.values()), sum(longer.values())
+    drop_last: dict[Word, int] = {}
+    drop_first: dict[Word, int] = {}
+    for word, mass in longer.items():
+        drop_last[word[:-1]] = drop_last.get(word[:-1], 0) + mass
+        drop_first[word[1:]] = drop_first.get(word[1:], 0) + mass
+    defect = 0
+    for w in masses.keys() | drop_last.keys() | drop_first.keys():
+        base = masses.get(w, 0) * longer_total
         for side in (drop_last, drop_first):
-            diff = abs(side.get(w, Fraction(0)) - base)
-            if diff > defect:
-                defect = diff
+            defect = max(defect, abs(side.get(w, 0) * total - base))
+    defect = Fraction(defect, total * longer_total)
     return defect == 0, defect
 
 
@@ -271,44 +287,79 @@ def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOr
     return tuple(word), tuple(order)
 
 
-def insertion_law(g: WeightedGraph, n: int) -> dict[Word, Fraction]:
-    """Exact distribution of :func:`sample_insertion` outputs at length ``n``.
+def _law_pairs(g: WeightedGraph, n: int) -> dict[Word, tuple[int, int]]:
+    """Integer form of :func:`insertion_law`: word to ``(numerator, denominator)``.
 
-    Dynamic program over growing words, reading the gap rows the sampler
-    draws from; probabilities are exact rationals summing to one.  Refused
-    when ``q**n`` exceeds the enumeration bound.
+    A word of probability ``a / b`` and total ``t`` passes ``a * weight``
+    over ``b * t`` to each child.  Shares that reach a child over one
+    denominator add their numerators; others meet at the lcm of the two
+    denominators.  Where the totals of a step do not depend on the word,
+    as on uniform complete multipartite graphs, every word of the step
+    has the same denominator.  A denominator common to all words of a
+    step would be the lcm of their totals, which on tables whose totals
+    vary outgrows the words' own denominators many times over.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     _check_bound(g.vertex_count, n)
     rows = _GapRows(g)
     end = (g.vertex_count,)
-    states: dict[Word, Fraction] = {(): Fraction(1)}
+    states: dict[Word, tuple[int, int]] = {(): (1, 1)}
     for _ in range(n):
-        nxt: dict[Word, Fraction] = {}
-        for word, prob in states.items():
+        nxt: dict[Word, tuple[int, int]] = {}
+        get = nxt.get
+        for word, (num, den) in states.items():
             gaps = [rows[flanks] for flanks in zip(end + word, word + end)]
             total = sum(row.total for row in gaps)
             if not total:
                 raise DeadEndError(
                     f"no insertion has positive weight from word {word}")
+            den *= total
             for j, row in enumerate(gaps):
+                left, right = word[:j], word[j:]
                 for v, wgt in zip(row.vertices, row.weights):
-                    child = word[:j] + (v,) + word[j:]
-                    nxt[child] = nxt.get(child, Fraction(0)) + prob * Fraction(wgt, total)
+                    child = left + (v,) + right
+                    share = num * wgt
+                    got = get(child)
+                    if got is None:
+                        nxt[child] = share, den
+                    elif got[1] == den:
+                        nxt[child] = got[0] + share, den
+                    else:
+                        m = math.lcm(got[1], den)
+                        nxt[child] = got[0] * (m // got[1]) + share * (m // den), m
         states = nxt
     return states
 
 
+def insertion_law(g: WeightedGraph, n: int) -> dict[Word, Fraction]:
+    """Exact distribution of :func:`sample_insertion` outputs at length ``n``.
+
+    Dynamic program over growing words, reading the gap rows the sampler
+    draws from.  It carries an integer numerator and denominator per word
+    and builds a ``Fraction`` per word only at the end; the probabilities
+    sum to one.  Refused when ``q**n`` exceeds the enumeration bound.
+    """
+    return {w: Fraction(a, b) for w, (a, b) in _law_pairs(g, n).items()}
+
+
 def insertion_marginal_gap(g: WeightedGraph, n: int) -> Fraction:
-    """Exact total-variation distance between the two length-``n`` laws."""
-    law = insertion_law(g, n)
-    marg = marginal(g, n).table
-    words = set(law) | set(marg)
-    diff = Fraction(0)
-    for w in words:
-        diff += abs(law.get(w, Fraction(0)) - marg.get(w, Fraction(0)))
-    return diff / 2
+    """Exact total-variation distance between the two length-``n`` laws.
+
+    With law ``a / b`` and marginal ``M / T`` over integers, the distance
+    is ``sum |a T - M b| / (2 b T)``; the terms are summed as integers per
+    denominator ``b``.  The marginal's words outside the law add their
+    ``M / (2 T)``, which is ``T`` less the masses met, over ``2 T``.
+    """
+    pairs = _law_pairs(g, n)
+    masses = _scaled_masses(g, n)
+    total = outside = sum(masses.values())
+    sums: dict[int, int] = {}
+    for w, (a, b) in pairs.items():
+        m = masses.get(w, 0)
+        outside -= m
+        sums[b] = sums.get(b, 0) + abs(a * total - m * b)
+    return (sum(Fraction(s, b) for b, s in sums.items()) + outside) / (2 * total)
 
 
 def _chi2_sf(x: float, df: int) -> float:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import index
 from typing import Optional, Sequence
 
 from .buildings import Word
-from .graphs import WeightedGraph, has_directed_triangle
+from .graphs import WeightedGraph, _integer, has_directed_triangle
 from .process import sample_exact
 
 __all__ = [
@@ -53,9 +52,13 @@ class ShiftOfFiniteType:
     allowed: frozenset[Word]
 
     def __post_init__(self):
-        # bools are an int subclass; type() rejects them
-        if not (type(self.q) is int and type(self.n) is int):
-            raise ValueError("alphabet size and window length must be integers")
+        # numpy integers are stored as plain ints
+        try:
+            object.__setattr__(self, "q", _integer(self.q))
+            object.__setattr__(self, "n", _integer(self.n))
+        except TypeError:
+            raise ValueError(
+                "alphabet size and window length must be integers") from None
         if self.q < 1:
             raise ValueError("alphabet size must be positive")
         if self.n < 1:
@@ -67,9 +70,7 @@ class ShiftOfFiniteType:
             # checked before the set is formed, where (0, True) would merge
             # into (0, 1); numpy integers are stored as plain ints
             try:
-                if any(isinstance(s, bool) for s in t):
-                    raise TypeError
-                t = tuple(map(index, t))
+                t = tuple(map(_integer, t))
             except TypeError:
                 raise ValueError(f"window {t!r} has non-integer symbols") from None
             if not all(0 <= s < self.q for s in t):

@@ -225,10 +225,10 @@ def test_criterion_8_sampler_validation():
         assert deviation <= 4, (word, deviation)
 
     for graph in (complete_graph(3), multipartite_graph(3, 2)):
-        for length in range(1, 6):
+        for length in range(1, 7):
             assert insertion_marginal_gap(graph, length) == 0, (graph, length)
     print(f"\nACCEPTANCE 8 (sampler: worst z {worst:.2f} at 1e5 draws; "
-          f"insertion law exact to length 5): PASS")
+          f"insertion law exact to length 6): PASS")
 
 
 def test_criterion_9_sft_suite():

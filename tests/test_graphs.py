@@ -434,6 +434,19 @@ def test_weight_rejects_float_vertices():
         g.weight(0, 3)
 
 
+def test_neighbors_check_the_vertex():
+    # bools, negative and float indices once read another vertex's tuple
+    g = path_graph(3)
+    for lookup in (g.out_neighbors, g.in_neighbors):
+        for v in (True, 1.0):
+            with pytest.raises(ValueError, match="non-integer vertices"):
+                lookup(v)
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                lookup(v)
+        assert lookup(np.int64(1)) == lookup(1) == (0, 2)
+
+
 def test_from_weights_rejects_bool_vertex_count():
     for count in (True, False):
         with pytest.raises(ValueError, match="bool"):

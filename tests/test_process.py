@@ -1,11 +1,14 @@
 """Marginals, samplers and the statistical independence test."""
 
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,16 @@ def test_marginal_k3_values():
     assert m3.table[(0, 1, 2)] == Fraction(1, 10)
     assert m3.normalizer == 60
     assert sum(m3.table.values()) == 1
+
+
+def test_marginal_probability_checks_the_symbols():
+    m = marginal(complete_graph(3), 2)
+    for word in ([True, False], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="non-integer symbols"):
+            m.probability(word)
+    assert m.probability([np.int64(0), np.int32(1)]) == Fraction(1, 6)
+    # well-formed words outside the table
+    assert m.probability([0, 0]) == m.probability([0, 3]) == m.probability([0]) == 0
 
 
 def test_marginal_support_is_positive_walks():
@@ -266,11 +279,11 @@ def _flat_sample_insertion(g, n, seed):
     return tuple(word), tuple(order)
 
 
-def _random_tables(count, seed):
+def _random_tables(count, seed, max_q=6):
     # directed rational tables; some rows all zero, loops allowed
     rng = random.Random(seed)
     for _ in range(count):
-        q = rng.randint(1, 6)
+        q = rng.randint(1, max_q)
         rows = [[Fraction(rng.randint(0, 9), rng.randint(1, 5))
                  if rng.random() < 0.6 else 0 for _ in range(q)]
                 for _ in range(q)]
@@ -364,6 +377,101 @@ def test_insertion_law_gap_on_kite():
 def test_insertion_law_sums_to_one():
     law = insertion_law(kite_graph(), 3)
     assert sum(law.values()) == 1
+
+
+def _fraction_law(g, n):
+    """Reference law: the dynamic program over ``Fraction`` probabilities.
+
+    Reads the weights through ``weight`` rather than the gap rows; an
+    absent flank counts 1.
+    """
+    q, one = g.vertex_count, Fraction(1)
+    states = {(): Fraction(1)}
+    for _ in range(n):
+        nxt = {}
+        for word, prob in states.items():
+            cands = []
+            for j in range(len(word) + 1):
+                for v in range(q):
+                    left = g.weight(word[j - 1], v) if j else one
+                    right = g.weight(v, word[j]) if j < len(word) else one
+                    if left * right:
+                        cands.append((j, v, left * right))
+            total = sum(w for _, _, w in cands)
+            if not total:
+                raise DeadEndError(
+                    f"no insertion has positive weight from word {word}")
+            for j, v, w in cands:
+                child = word[:j] + (v,) + word[j:]
+                nxt[child] = nxt.get(child, Fraction(0)) + prob * (w / total)
+        states = nxt
+    return states
+
+
+def _fraction_gap(law, g, n):
+    """Reference total-variation distance of ``law``, summed over ``Fraction`` values."""
+    marg = marginal(g, n).table
+    diff = Fraction(0)
+    for w in set(law) | set(marg):
+        diff += abs(law.get(w, Fraction(0)) - marg.get(w, Fraction(0)))
+    return diff / 2
+
+
+def _fraction_stationarity(g, n):
+    """Reference stationarity check over ``Fraction`` marginal tables."""
+    p_n = marginal(g, n)
+    p_n1 = marginal(g, n + 1)
+    drop_last, drop_first = {}, {}
+    for word, prob in p_n1.table.items():
+        drop_last[word[:-1]] = drop_last.get(word[:-1], Fraction(0)) + prob
+        drop_first[word[1:]] = drop_first.get(word[1:], Fraction(0)) + prob
+    defect = Fraction(0)
+    for w in set(p_n.table) | set(drop_last) | set(drop_first):
+        base = p_n.table.get(w, Fraction(0))
+        for side in (drop_last, drop_first):
+            defect = max(defect, abs(side.get(w, Fraction(0)) - base))
+    return defect == 0, defect
+
+
+def _pickled_outcome(fn, g, n):
+    """The result's pickle, which pins types and dict order, or the error."""
+    try:
+        return pickle.dumps(fn(g, n))
+    except (DeadEndError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _law_cases():
+    graphs = [load_graph_fixture(name) for name in sorted(GRAPH_FIXTURES)]
+    return graphs + list(_random_tables(30, 17, max_q=4))
+
+
+def test_insertion_law_and_gap_match_the_fraction_forms():
+    dead_ends, gaps = 0, set()
+    for g in _law_cases():
+        for n in range(6):
+            law = _pickled_outcome(_fraction_law, g, n)
+            assert _pickled_outcome(insertion_law, g, n) == law, (g, n)
+            if isinstance(law, bytes):
+                gap = _pickled_outcome(partial(_fraction_gap, pickle.loads(law)), g, n)
+            else:
+                gap = law
+                dead_ends += 1
+            assert _pickled_outcome(insertion_marginal_gap, g, n) == gap, (g, n)
+            if isinstance(gap, bytes):
+                gaps.add(pickle.loads(gap) > 0)
+    assert dead_ends > 0 and gaps == {False, True}
+
+
+def test_stationarity_check_matches_the_fraction_check():
+    verdicts = set()
+    for g in _law_cases():
+        for n in range(5):
+            got = _pickled_outcome(stationarity_check, g, n)
+            assert got == _pickled_outcome(_fraction_stationarity, g, n), (g, n)
+            if isinstance(got, bytes):
+                verdicts.add(pickle.loads(got)[0])
+    assert verdicts == {False, True}
 
 
 def test_gap_independence_k4():

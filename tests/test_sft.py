@@ -239,6 +239,15 @@ def test_numpy_symbols_are_stored_as_ints():
         ShiftOfFiniteType(2, 2, [(0.0, 1), (1, 0)])
 
 
+def test_numpy_sizes_are_stored_as_ints():
+    s = ShiftOfFiniteType(np.int64(2), np.int64(2), [(0, 1), (1, 0)])
+    assert s == ShiftOfFiniteType(2, 2, [(0, 1), (1, 0)])
+    assert type(s.q) is int and type(s.n) is int
+    for q, n in ((True, 2), (2.0, 2), (2, True), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ShiftOfFiniteType(q, n, [(0, 1), (1, 0)])
+
+
 def test_from_windows_rejects_bool_symbols():
     # (0, True) equals (0, 1) and would merge with it once the set is formed
     with pytest.raises(ValueError, match="non-integer"):
