@@ -62,7 +62,15 @@ Two exact kernels serve two call patterns:
   same weight, so ``R`` depends only on the word of class
   representatives.  A complete multipartite graph thus stores only
   prefixes of the complete graph it projects onto; their rows are still
-  indexed by every vertex, twins having equal entries.
+  indexed by every vertex, twins having equal entries.  A relabeling of
+  the class graph that keeps every weight and class size (an
+  automorphism, :func:`_class_group`) keeps every count, so the sweep
+  of :func:`_scaled_buildings` reads a row only for the least prefix of
+  each orbit and carries, per prefix, the relabeling that takes the
+  prefix there.  On K4 at length 8 that is 805 rows where every prefix
+  would fill 4,368.  The memo keys and the order of the words swept do
+  not change, and a graph whose only automorphism is the identity is
+  swept as before.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ from math import factorial, prod
 from operator import index, itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .graphs import _ENUMERATION_BOUND, WeightedGraph
+from .graphs import _ENUMERATION_BOUND, WeightedGraph, _automorphisms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -304,6 +312,43 @@ def _scaled_building(g: WeightedGraph, w: Word) -> int:
     return spine * _scaled_reduced(g, w)
 
 
+def _least_step(fixers: Sequence[Sequence[int]], b: int
+                ) -> tuple[Sequence[int], int, Sequence[Sequence[int]]]:
+    """One symbol of an orbit-least word: ``(mover, least, fixers')``.
+
+    ``fixers`` are the maps of the group that fix an orbit-least word
+    ``c``, the identity first.  The least word of the orbit of ``c b`` is
+    ``c least``, with ``least`` the least image of ``b`` under
+    ``fixers``; ``mover`` is the first of them that takes ``b`` there, and
+    ``fixers'`` are those that also fix ``least``.
+    """
+    images = list(map(itemgetter(b), fixers))
+    least = min(images)
+    mover = fixers[images.index(least)]
+    return mover, least, [p for p in fixers if p[least] == least]
+
+
+def _least_words(out: Sequence[Sequence[int]], n: int, first: Sequence[int],
+                 group: Sequence[Sequence[int]]) -> Iterator[Word]:
+    """The chains of :func:`_walks` that are the least words of their orbits.
+
+    The orbits are those of ``group``, maps applied symbol by symbol.  A
+    prefix of an orbit-least word is orbit-least, so the walk extends
+    only such prefixes, each by the symbols that are the least image of
+    themselves under the maps that fix it.
+    """
+    stack = [((), group)]
+    while stack:
+        c, fixers = stack.pop()
+        if len(c) == n:
+            yield c
+            continue
+        for b in reversed(out[c[-1]] if c else first):
+            _, least, below = _least_step(fixers, b)
+            if least == b:
+                stack.append((c + (b,), below))
+
+
 def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
     """``B * D^(2n-2)`` of each positive word of length ``n``, in lexicographic order.
 
@@ -312,9 +357,22 @@ def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
     and read once for all the extensions of its prefix.  ``B = w * R`` and
     ``R >= 1`` (the left-to-right arrival order adds no other link), so
     exactly these words have positive building count.
+
+    Where the class graph has symmetries (:func:`_class_group`), each
+    prefix ``u`` also carries a relabeling ``pi`` of the group, composed
+    with the twin map, that takes ``u`` to the least class word ``c`` of
+    its orbit, and the maps that fix ``c``.  A relabeling keeps every
+    pair weight, so ``u``'s pair weight product is ``c``'s and
+    ``row(u)[a] = row(c)[pi[a]]``: only orbit-least prefixes are looked
+    up in the memo.  ``pi`` grows by one symbol per step (see
+    :func:`_least_step`), and below a prefix whose fixers are the
+    identity alone it stays as it is.
     """
     if n <= 1:
         return dict.fromkeys(positive_words(g, n), 1)
+    group = _class_group(g)
+    if len(group) > 1:
+        return _orbit_buildings(g, n, group)
     num, den, out, twin, cache = g._num, g._den, g._out, g._twin, g._tcache
     masses = {}
     # one entry per prefix: the prefix, its pair weight product and its row
@@ -333,6 +391,49 @@ def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
             w = u + (a,)
             key = w if twin is None else itemgetter(*w)(twin)
             stack.append((w, spine * links[a],
+                          cache.get(key) or _fill_row(cache, num, den, key, row)))
+    return masses
+
+
+def _orbit_buildings(g: WeightedGraph, n: int,
+                     group: Sequence[Sequence[int]]) -> dict[Word, int]:
+    """:func:`_scaled_buildings` for ``n >= 2`` on a group other than the identity."""
+    num, den, out, cache = g._num, g._den, g._out, g._tcache
+    classes = g._twin or range(g.vertex_count)
+    identity = group[0]
+    masses = {}
+    # the step from an orbit-least word c by a symbol b, for each c whose
+    # fixers are more than the identity: the least word of c b's orbit, the
+    # map that takes it there and the maps that fix that word
+    steps: dict[tuple[Word, int], tuple[Word, Sequence[int], list]] = {}
+    # one entry per prefix: the prefix, its pair weight product, its
+    # relabeling, the maps that fix its least word, that word and its row
+    stack = []
+    first = [2 * den] * g.vertex_count
+    for v in reversed(range(g.vertex_count)):
+        mover, least, fixers = _least_step(group, classes[v])
+        stack.append(((v,), 1, [mover[t] for t in classes], fixers, (least,),
+                      first))
+    while stack:
+        u, spine, pi, fixers, c, row = stack.pop()
+        last = u[-1]
+        links = num[last]
+        if len(u) == n - 1:
+            for a in out[last]:
+                masses[u + (a,)] = spine * links[a] * row[pi[a]]
+            continue
+        for a in reversed(out[last]):
+            b = pi[a]
+            if len(fixers) == 1:
+                key, moved, below = c + (b,), pi, fixers
+            else:
+                step = steps.get((c, b))
+                if step is None:
+                    mover, least, below = _least_step(fixers, b)
+                    step = steps[c, b] = c + (least,), mover, below
+                key, mover, below = step
+                moved = pi if mover is identity else [mover[s] for s in pi]
+            stack.append((u + (a,), spine * links[a], moved, below, key,
                           cache.get(key) or _fill_row(cache, num, den, key, row)))
     return masses
 
@@ -481,6 +582,49 @@ def _twin_quotient(g: WeightedGraph) -> tuple[Sequence[int], tuple[int, ...],
     return (tuple(v for v in range(q) if size[v]), tuple(size),
             tuple(tuple(v for v in row if size[v]) for row in g._out),
             tuple(tuple(v for v in row if size[v]) for row in g._in))
+
+
+# The symmetries of a class graph are listed only while there are at most
+# _GROUP_BOUND of them.  Their number is known before they are listed (see
+# graphs._automorphisms), so a larger group costs no listing.  Listing
+# K7's 5,040 maps takes about 6 ms, which its walks repay from length 5 on;
+# K8's 40,320 take about 55 ms, and made a length-5 walk on K8 three times
+# slower (23 -> 70 ms).  Past _GROUP_CLASS_BOUND classes no search is made:
+# on a table whose vertices all look alike but have few symmetries, even
+# the order could take long to find.  Either way the identity alone stands
+# for the group, which changes no count, only the time.
+_GROUP_BOUND = 5040
+_GROUP_CLASS_BOUND = 10
+
+
+def _class_group(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms of the class graph that keep class sizes, as vertex maps.
+
+    Each lifts to a weight-preserving permutation of ``g``, so every
+    building count, and every identity over them, is invariant under it.
+    A map is indexed by vertex and takes class representatives to class
+    representatives; it fixes every other vertex.  The identity comes
+    first.
+    """
+    q = g.vertex_count
+    reps, size, _, _ = _twin_quotient(g)
+    trivial = (tuple(range(q)),)
+    if len(reps) > _GROUP_CLASS_BOUND:
+        return trivial
+    num = g._num
+    perms = _automorphisms([[num[a][b] for b in reps] for a in reps],
+                           [size[a] for a in reps], _GROUP_BOUND)
+    if perms is None:
+        return trivial
+    if len(reps) == q:
+        return perms
+    maps = []
+    for p in perms:
+        image = list(range(q))
+        for a, i in zip(reps, p):
+            image[a] = reps[i]
+        maps.append(tuple(image))
+    return tuple(maps)
 
 
 def _sized_links(g: WeightedGraph, size: Sequence[int]

@@ -22,10 +22,13 @@ a middle ``W`` among class words weighted by ``prod s(W_i)``, the sizes
 of its classes.  Left words are further reduced modulo the automorphisms
 of the class graph that keep class sizes (each lifts to a
 weight-preserving vertex relabeling, under which the identity is
-invariant).  With ``B = w * R``, the pair weights ``w(x) w(y)`` divide
-out of both sides of the identity, so each stitched word contributes its
-middle's links times ``R(x W y)`` on the per-graph reduced-count memo,
-which the sweep over all right words and middles shares.  A single pair
+invariant; see :func:`insertproc.buildings._class_group` for the bound
+past which the identity alone stands for them): the walk that lists left
+words extends only the least words of their orbits.  With ``B = w * R``,
+the pair weights ``w(x) w(y)`` divide out of both sides of the identity,
+so each stitched word contributes its middle's links times ``R(x W y)``
+on the per-graph reduced-count memo, which the sweep over all right
+words and middles shares.  A single pair
 (:func:`gap_sum`, each constant's anchor, and the re-check of a witness)
 is one chart of the interval DP of :mod:`insertproc.buildings` on the
 graph itself, with the ``k`` middle positions free, so it walks no
@@ -48,12 +51,12 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
-                        _as_word, _check_bound, _interval_scaled,
-                        _scaled_building, _scaled_reduced, _sized_links,
-                        _twin_quotient, _walks)
+                        _as_word, _check_bound, _class_group, _interval_scaled,
+                        _least_words, _scaled_building, _scaled_reduced,
+                        _sized_links, _twin_quotient, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
-from .graphs import WeightedGraph, _automorphisms, has_directed_triangle
+from .graphs import WeightedGraph, has_directed_triangle
 
 __all__ = [
     "DependenceCounterexample",
@@ -64,9 +67,6 @@ __all__ = [
     "min_k_search",
     "triangle_necessity",
 ]
-
-_AUTOMORPHISM_CLASS_CAP = 10
-
 
 @dataclass(frozen=True)
 class DependenceCounterexample:
@@ -197,45 +197,6 @@ def _check_window(g: WeightedGraph, max_left: int, max_right: int) -> int:
     return need
 
 
-def _auts_for(g: WeightedGraph, reps: Sequence[int], size: Sequence[int]
-              ) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms of the class graph that keep class sizes, as vertex maps.
-
-    Each lifts to a weight-preserving permutation of ``g``, so the gap-sum
-    identity is invariant under it.  A map is indexed by vertex; only its
-    entries at representatives are read.
-    """
-    q = g.vertex_count
-    if len(reps) > _AUTOMORPHISM_CLASS_CAP:
-        return (tuple(range(q)),)
-    num = g._num
-    perms = _automorphisms([[num[a][b] for b in reps] for a in reps],
-                           [size[a] for a in reps])
-    maps = []
-    for p in perms:
-        image = list(range(q))
-        for a, i in zip(reps, p):
-            image[a] = reps[i]
-        maps.append(tuple(image))
-    return tuple(maps)
-
-
-def _orbit_reps(words: list[Word],
-                auts: tuple[tuple[int, ...], ...]) -> list[Word]:
-    """Lexicographically least representative of each relabeling orbit."""
-    if len(auts) == 1:
-        return words
-    visited: set[Word] = set()
-    reps: list[Word] = []
-    for w in words:
-        if w in visited:
-            continue
-        reps.append(w)
-        for p in auts:
-            visited.add(tuple(p[s] for s in w))
-    return reps
-
-
 def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
                        max_right: int = 4, *,
                        consistency: Optional[ConsistencyReport] = None
@@ -272,7 +233,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
 
     reps, size, out, _ = _twin_quotient(g)
     links = _sized_links(g, size)
-    auts = _auts_for(g, reps, size)
+    group = _class_group(g)
     den = g._den
 
     @cache
@@ -283,15 +244,15 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     scale_c = den ** (2 * k + 2)
 
     for n in range(1, max_left + 1):
-        xs = words_of(n)
-        if not xs:
+        # the least class word is the least of its orbit
+        x_reps = list(_least_words(out, n, reps, group))
+        if not x_reps:
             continue
-        x_reps = _orbit_reps(xs, auts)
         for m in range(1, max_right + 1):
             ys = words_of(m)
             if not ys:
                 continue
-            x0, y0 = xs[0], ys[0]
+            x0, y0 = x_reps[0], ys[0]
             lhs0 = _gap_chart(g, x0, y0, k)
             b_x0 = _scaled_building(g, x0)
             b_y0 = _scaled_building(g, y0)

@@ -508,12 +508,17 @@ def automorphisms(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _automorphisms(num: Sequence[Sequence[int]],
-                   colors: Optional[Sequence[int]] = None
-                   ) -> tuple[tuple[int, ...], ...]:
+                   colors: Optional[Sequence[int]] = None,
+                   limit: Optional[int] = None
+                   ) -> Optional[tuple[tuple[int, ...], ...]]:
     """Permutations of a square table's indices that keep every entry.
 
     With ``colors``, a permutation must also map each index to one of the
-    same color.
+    same color.  The search finds a stabilizer chain: for each ``k``, one
+    permutation per image of ``k`` among those that fix ``0 .. k-1``.
+    Every permutation is then one product of one from each level, so the
+    order of the group is known before it is listed; with ``limit``,
+    ``None`` is returned when the order exceeds it.
     """
     n = len(num)
     sig = []
@@ -522,32 +527,51 @@ def _automorphisms(num: Sequence[Sequence[int]],
         col = tuple(sorted(num[j][i] for j in range(n)))
         sig.append((colors[i] if colors else 0, num[i][i], row, col))
     candidates = [tuple(u for u in range(n) if sig[u] == sig[k]) for k in range(n)]
-    results: list[tuple[int, ...]] = []
-    assign = [-1] * n
+    assign = list(range(n))
     used = [False] * n
 
-    def extend(k: int) -> None:
+    def fits(k: int, u: int) -> bool:
+        """Whether ``k -> u`` keeps every entry with the images of ``0 .. k-1``."""
+        return not used[u] and all(num[k][j] == num[u][assign[j]]
+                                   and num[j][k] == num[assign[j]][u]
+                                   for j in range(k))
+
+    def extend(k: int) -> bool:
+        """Complete the images of ``0 .. k-1`` in ``assign``, if they complete."""
         if k == n:
-            results.append(tuple(assign))
-            return
+            return True
         for u in candidates[k]:
-            if used[u]:
-                continue
-            ok = True
-            for j in range(k):
-                v = assign[j]
-                if num[k][j] != num[u][v] or num[j][k] != num[v][u]:
-                    ok = False
-                    break
-            if ok:
+            if fits(k, u):
                 assign[k] = u
                 used[u] = True
-                extend(k + 1)
+                found = extend(k + 1)
                 used[u] = False
-        assign[k] = -1
+                if found:
+                    return True
+        return False
 
-    extend(0)
-    return tuple(sorted(results))
+    levels = []
+    order = 1
+    for k in range(n):
+        # 0 .. k-1 are fixed: assign[j] == j and used[j]
+        level = []
+        for u in candidates[k]:
+            if fits(k, u):
+                assign[k] = u
+                used[u] = True
+                if extend(k + 1):
+                    level.append(tuple(assign))
+                used[u] = False
+        levels.append(level)
+        order *= len(level)
+        if limit is not None and order > limit:
+            return None
+        assign[k] = k
+        used[k] = True
+    maps = [tuple(range(n))]
+    for level in reversed(levels):
+        maps = [tuple(map(t.__getitem__, h)) for t in level for h in maps]
+    return tuple(sorted(maps))
 
 
 def _weight_str(w: Fraction) -> str:

@@ -152,7 +152,10 @@ def stationarity_check(g: WeightedGraph, n: int) -> tuple[bool, Fraction]:
     absolute difference over words and sides; exact zero when consistent.
     With ``P_n = M / T`` and ``P_{n+1} = M' / T'`` over integers, each
     difference is ``|D T - M T'| / (T T')``, ``D`` a sum of ``M'``.
+    Both windows are checked before either is swept.
     """
+    _check_window(g, n)
+    _check_window(g, n + 1)
     masses = _scaled_masses(g, n)
     longer = _scaled_masses(g, n + 1)
     total, longer_total = sum(masses.values()), sum(longer.values())

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import prod
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ from insertproc import (WeightedGraph, building_count,
                         multipartite_graph, block_projection,
                         classify_multipartite, gap_sum, marginal,
                         positive_words, reduced_count, word_weight)
-from insertproc.buildings import (_interval_scaled, _scaled_building,
-                                  _scaled_reduced, bruteforce_sweep,
+from insertproc.buildings import (_class_group, _fill_row, _interval_scaled,
+                                  _least_words, _prefix_row,
+                                  _scaled_building, _scaled_buildings,
+                                  _scaled_reduced, _twin_quotient,
+                                  _walks, bruteforce_sweep,
                                   constraint_edge_classes, recurrence_sweep)
+from insertproc.fixtures import GRAPH_FIXTURES
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -372,11 +377,12 @@ def test_sweeps_fill_only_the_memo_of_reduced_counts():
 
 def test_memo_has_no_size_cap():
     # sweeps are bounded where they are entered, so the memo keeps the row
-    # of every prefix however large it has grown
+    # of every orbit-least prefix however large it has grown
     g = complete_graph(3)
     g._tcache.update(dict.fromkeys(range(400_000), 0))
     marginal(g, 8)
-    assert all(u in g._tcache for u in positive_words(g, 7))
+    least = list(_least_words(g._out, 7, range(3), _class_group(g)))
+    assert least and all(u in g._tcache for u in least)
 
 
 def _twin_tables(seed, count):
@@ -427,3 +433,140 @@ def test_every_stored_row_counts_like_the_chart(g):
         assert list(row) == [_interval_scaled(g, [(s,) for s in u + (a,)],
                                               reduced=True)
                              for a in range(q)], u
+
+
+def _walk_reference(g, n):
+    """The prefix walk without symmetry: every positive prefix reads its own row."""
+    if n <= 1:
+        return dict.fromkeys(positive_words(g, n), 1)
+    num, den, out, twin, cache = g._num, g._den, g._out, g._twin, g._tcache
+    masses = {}
+    stack = [((v,), 1, _prefix_row(g, (v,)))
+             for v in reversed(range(g.vertex_count))]
+    while stack:
+        u, spine, row = stack.pop()
+        last = u[-1]
+        links = num[last]
+        if len(u) == n - 1:
+            for a in out[last]:
+                masses[u + (a,)] = spine * links[a] * row[a]
+            continue
+        for a in reversed(out[last]):
+            w = u + (a,)
+            key = w if twin is None else itemgetter(*w)(twin)
+            stack.append((w, spine * links[a],
+                          cache.get(key) or _fill_row(cache, num, den, key, row)))
+    return masses
+
+
+def _relabeled(rows, rng):
+    q = len(rows)
+    perm = list(range(q))
+    rng.shuffle(perm)
+    return WeightedGraph([[rows[perm[i]][perm[j]] for j in range(q)]
+                          for i in range(q)])
+
+
+def _symmetric_tables(seed):
+    """Seeded tables with planted symmetry, each relabeled at random.
+
+    Complete and complete multipartite graphs (equal and unequal parts),
+    weighted circulants, directed cycles, the same with loops, and tables
+    with a zero row or a zero column.
+    """
+    rng = random.Random(seed)
+    tables = []
+    for q in (2, 3, 4, 5):
+        w = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        tables.append([[0 if i == j else w for j in range(q)] for i in range(q)])
+    for sizes in ((2, 2), (1, 2, 2), (2, 2, 2), (1, 1, 3), (1, 1, 2, 2)):
+        part = [p for p, s in enumerate(sizes) for _ in range(s)]
+        tables.append([[0 if a == b else 1 for b in part] for a in part])
+    for q in (3, 4, 5, 6):
+        for _ in range(2):
+            shifts = rng.sample(range(1, q), rng.randint(1, q - 1))
+            weights = {s: Fraction(rng.randint(1, 4), rng.randint(1, 2))
+                       for s in shifts}
+            tables.append([[weights.get((j - i) % q, 0) for j in range(q)]
+                           for i in range(q)])
+    for q in (3, 4, 5):
+        tables.append([[1 if j == (i + 1) % q else 0 for j in range(q)]
+                       for i in range(q)])
+    for rows in list(tables[-6:]):
+        tables.append([[2 if i == j else w for j, w in enumerate(row)]
+                       for i, row in enumerate(rows)])
+    for rows in (tables[2], tables[9]):
+        q = len(rows)
+        # a vertex that nothing leaves, and one that nothing enters
+        tables.append([list(r) + [1] for r in rows] + [[0] * (q + 1)])
+        tables.append([list(r) + [0] for r in rows] + [[1] * q + [0]])
+    return [_relabeled(rows, rng) for rows in tables]
+
+
+def _sweep_cases():
+    graphs = [make() for _, make in sorted(GRAPH_FIXTURES.items())]
+    return graphs + _symmetric_tables(5) + _twin_tables(31, 4)
+
+
+def test_planted_symmetry_reaches_the_orbit_walk():
+    assert all(len(_class_group(g)) > 1 for g in _symmetric_tables(5))
+
+
+def test_orbit_walk_matches_the_plain_walk():
+    # values and lexicographic order, on a cold memo and on one the other
+    # walk has filled
+    for g in _sweep_cases():
+        q = g.vertex_count
+        for n in range(0, 7):
+            if q ** n > 20_000:
+                break
+            cold = WeightedGraph([[Fraction(v, g._den) for v in row]
+                                  for row in g._num])
+            expected = list(_walk_reference(cold, n).items())
+            assert list(_scaled_buildings(g, n).items()) == expected, (g, n)
+            assert list(_scaled_buildings(cold, n).items()) == expected, (g, n)
+
+
+def test_orbit_walk_fills_only_orbit_least_prefixes():
+    # the longest rows the walk reads are its own lookups, which it makes
+    # only for the least word of each prefix's orbit
+    for g in (K4, complete_graph(5), cycle_graph(5), kite_graph(),
+              multipartite_graph(3, 2)):
+        g = WeightedGraph([[g.weight(a, b) for b in range(g.vertex_count)]
+                           for a in range(g.vertex_count)])
+        reps, _, out, _ = _twin_quotient(g)
+        group = _class_group(g)
+        assert len(group) > 1
+        _scaled_buildings(g, 6)
+        longest = sorted(u for u in g._tcache if len(u) == 5)
+        assert longest == list(_least_words(out, 5, reps, group)), g
+
+
+def _orbit_reps_reference(words, group):
+    """Lexicographically least representative of each orbit, by a visited set."""
+    visited, reps = set(), []
+    for w in words:
+        if w not in visited:
+            reps.append(w)
+            visited.update(tuple(p[s] for s in w) for p in group)
+    return reps
+
+
+def test_least_words_are_the_orbit_representatives():
+    for g in _sweep_cases():
+        reps, _, out, _ = _twin_quotient(g)
+        group = _class_group(g)
+        for n in range(0, 6):
+            words = list(_walks(out, n, reps))
+            assert list(_least_words(out, n, reps, group)) == (
+                _orbit_reps_reference(words, group)), (g, n)
+
+
+@pytest.mark.parametrize("g", [K4, cycle_graph(5)], ids=["k4", "cycle5"])
+def test_recurrence_sweep_matches_the_brute_force_to_length_7(g):
+    rec = recurrence_sweep(g, 7)
+    bf = bruteforce_sweep(g, 7)
+    for m in range(8):
+        (rv, rs), (bv, bs) = rec[m], bf[m]
+        assert rs % bs == 0
+        assert [int(a) for a in rv] == [int(b) * (rs // bs) for b in bv], m

@@ -1,6 +1,8 @@
 """Graph model, constructors and structural predicates."""
 
+import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from insertproc import (WeightedGraph, automorphisms, block_projection,
                         kite_graph, multipartite_graph, path_graph, regularity,
                         triangles_per_edge, uniform_weight)
 from insertproc.fixtures import GRAPH_FIXTURES, fixture_text, load_graph_fixture
+from insertproc.graphs import _automorphisms
 
 
 def test_complete_graph_weights():
@@ -304,6 +307,42 @@ def test_automorphisms_preserve_weights():
         for i in range(4):
             for j in range(4):
                 assert g.weight(i, j) == g.weight(p[i], p[j])
+
+
+def test_automorphisms_are_every_permutation_that_keeps_the_table():
+    # the stabilizer chain's products, against a filter over all q!
+    # permutations, on seeded tables with and without planted symmetry
+    rng = random.Random(7)
+    for _ in range(80):
+        q = rng.randint(1, 5)
+        num = [[rng.choice([0, 0, 1, 2]) for _ in range(q)] for _ in range(q)]
+        if rng.random() < 0.5:
+            num = [[num[min(i, j)][max(i, j)] for j in range(q)]
+                   for i in range(q)]
+        if rng.random() < 0.3:
+            num = [[int(i != j) for j in range(q)] for i in range(q)]
+        colors = [rng.randrange(2) for _ in range(q)] if rng.random() < 0.4 else None
+        expected = tuple(
+            p for p in itertools.permutations(range(q))
+            if all(num[i][j] == num[p[i]][p[j]] for i in range(q) for j in range(q))
+            and (colors is None or all(colors[i] == colors[p[i]] for i in range(q))))
+        assert _automorphisms(num, colors) == expected, (num, colors)
+        assert _automorphisms(num, colors, len(expected)) == expected
+        assert _automorphisms(num, colors, len(expected) - 1) is None
+
+
+def test_automorphisms_past_the_limit_are_not_listed():
+    # K9 has 362,880 automorphisms; their order is found from one map per
+    # level of the chain, so refusing them costs no listing
+    num = [[int(i != j) for j in range(9)] for i in range(9)]
+    tracemalloc.start()
+    try:
+        assert _automorphisms(num, None, 5040) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert len(_automorphisms([r[:7] for r in num[:7]], None, 5040)) == 5040
 
 
 def test_json_roundtrip():

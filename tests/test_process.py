@@ -21,6 +21,7 @@ from insertproc import (DeadEndError, WeightedGraph, building_count,
                         multipartite_graph, proper_coloring_windows,
                         sample_exact, sample_insertion, sample_sft,
                         stationarity_check)
+from insertproc import process
 from insertproc.fixtures import GRAPH_FIXTURES, load_graph_fixture
 from insertproc.process import _GapRows, _chi2_sf, _draw_index
 
@@ -86,6 +87,19 @@ def test_window_checked_before_the_empty_batch():
     with pytest.raises(ValueError, match="enumeration bound"):
         sample_exact(complete_graph(4), 12, 0, 0)
     assert sample_exact(complete_graph(4), 11, 0, 0).words == ()
+
+
+def test_stationarity_checks_both_windows_before_a_sweep(monkeypatch):
+    # the length-(n+1) window is refused before the length-n one is swept
+    def sweep(g, n):
+        raise AssertionError(f"a sweep of length {n} started")
+
+    monkeypatch.setattr(process, "_scaled_buildings", sweep)
+    with pytest.raises(ValueError, match=r"6\*\*9 > 10000000"):
+        stationarity_check(complete_graph(6), 8)
+    # the bound comes ahead of the length-n "no positive word" refusal
+    with pytest.raises(ValueError, match=r"3\*\*15 > 10000000"):
+        stationarity_check(WeightedGraph([[0] * 3] * 3), 14)
 
 
 def test_insertion_law_bound():
