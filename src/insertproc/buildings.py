@@ -84,9 +84,10 @@ from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial, prod
 from operator import index, itemgetter, mul
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .graphs import _ENUMERATION_BOUND, WeightedGraph, _automorphisms
+from .graphs import (_ENUMERATION_BOUND, WeightedGraph, _candidates,
+                     _completions)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -312,41 +313,128 @@ def _scaled_building(g: WeightedGraph, w: Word) -> int:
     return spine * _scaled_reduced(g, w)
 
 
-def _least_step(fixers: Sequence[Sequence[int]], b: int
-                ) -> tuple[Sequence[int], int, Sequence[Sequence[int]]]:
-    """One symbol of an orbit-least word: ``(mover, least, fixers')``.
+# The symmetry search runs on at most this many twin classes.  On a table
+# whose classes all look alike but have few symmetries, one search may try
+# many partial maps; past the bound the identity alone stands for the
+# group, which changes no count, only the time.
+_GROUP_CLASS_BOUND = 10
 
-    ``fixers`` are the maps of the group that fix an orbit-least word
-    ``c``, the identity first.  The least word of the orbit of ``c b`` is
-    ``c least``, with ``least`` the least image of ``b`` under
-    ``fixers``; ``mover`` is the first of them that takes ``b`` there, and
-    ``fixers'`` are those that also fix ``least``.
+
+class _Orbits:
+    """Orbit-least steps under the symmetries of a graph's class graph.
+
+    The symmetries are the relabelings of the twin class graph that keep
+    every weight and class size.  Each lifts to a weight-preserving
+    permutation of the graph, so it keeps every building count.  A class
+    word is the least of its orbit exactly when each symbol is the least
+    image of itself under the maps that fix every symbol before it, and
+    those maps depend only on the set of classes fixed, a bit mask here.
+    The group is never listed: :meth:`step` finds one least image by
+    search (:func:`insertproc.graphs._completions`) and keeps it in
+    ``steps``, so each step is searched once per graph.  A fixed set is
+    carried as ``None`` once only the identity fixes it, and :attr:`root`
+    is ``None`` when the group is the identity alone.
     """
-    images = list(map(itemgetter(b), fixers))
-    least = min(images)
-    mover = fixers[images.index(least)]
-    return mover, least, [p for p in fixers if p[least] == least]
+
+    __slots__ = ("root", "steps", "reps", "out", "_q", "_index", "_table",
+                 "_candidates", "_moving")
+
+    def __init__(self, g: WeightedGraph):
+        reps, size, out, _ = _twin_quotient(g)
+        self.steps: dict[tuple[int, int], tuple] = {}
+        # the class words walked by _least_words
+        self.reps, self.out = reps, out
+        self._q = g.vertex_count
+        self._index = dict(zip(reps, range(len(reps))))
+        self._moving: dict[int, bool] = {}
+        if len(reps) > _GROUP_CLASS_BOUND:
+            self.root = None
+            return
+        num = g._num
+        self._table = [[num[a][b] for b in reps] for a in reps]
+        self._candidates = _candidates(self._table, [size[a] for a in reps])
+        self.root = self._fixing(0)
+
+    def _maps(self, fixed: int, pinned: Optional[dict[int, int]] = None
+              ) -> Iterator[tuple[int, ...]]:
+        """The class maps that fix the classes of ``fixed`` and extend ``pinned``."""
+        pinned = pinned or {}
+        pinned.update((i, i) for i in range(len(self.reps)) if fixed >> i & 1)
+        return _completions(self._table, self._candidates, pinned)
+
+    def _fixing(self, fixed: int) -> Optional[int]:
+        """``fixed``, or ``None`` when only the identity fixes its classes."""
+        moving = self._moving.get(fixed)
+        if moving is None:
+            # the identity is the first map found, so a second one moves
+            maps = self._maps(fixed)
+            next(maps)
+            moving = self._moving[fixed] = next(maps, None) is not None
+        return fixed if moving else None
+
+    def step(self, fixed: int, b: int
+             ) -> tuple[int, Optional[list[int]], Optional[int]]:
+        """``(least, mover, fixed')`` for the symbol ``b`` after an orbit-least word.
+
+        ``fixed`` holds the classes of that word, and ``b`` is a class
+        representative.  ``least`` is the least image of ``b`` under the
+        maps that fix them, ``mover`` one of those maps that takes ``b``
+        there, as a vertex map (``None`` when ``least`` is ``b``), and
+        ``fixed'`` is ``fixed`` with ``least`` added, as :meth:`_fixing`
+        gives it.
+        """
+        reps, index = self.reps, self._index
+        k = index[b]
+        least, mover = b, None
+        # a map that fixes a class keeps it, so neither b's class when it is
+        # fixed nor a fixed class is searched for
+        for u in () if fixed >> k & 1 else self._candidates[k]:
+            if u >= k:
+                break
+            if fixed >> u & 1:
+                continue
+            image = next(self._maps(fixed, {k: u}), None)
+            if image is not None:
+                least = reps[u]
+                mover = list(range(self._q))
+                for a, i in zip(reps, image):
+                    mover[a] = reps[i]
+                break
+        step = self.steps[fixed, b] = (
+            least, mover, self._fixing(fixed | 1 << index[least]))
+        return step
 
 
-def _least_words(out: Sequence[Sequence[int]], n: int, first: Sequence[int],
-                 group: Sequence[Sequence[int]]) -> Iterator[Word]:
-    """The chains of :func:`_walks` that are the least words of their orbits.
+def _orbits(g: WeightedGraph) -> _Orbits:
+    """The graph's :class:`_Orbits`, made on first use and kept with the graph."""
+    orbits = g._orbits
+    if orbits is None:
+        orbits = g._orbits = _Orbits(g)
+    return orbits
 
-    The orbits are those of ``group``, maps applied symbol by symbol.  A
-    prefix of an orbit-least word is orbit-least, so the walk extends
-    only such prefixes, each by the symbols that are the least image of
-    themselves under the maps that fix it.
+
+def _least_words(g: WeightedGraph, n: int) -> Iterator[Word]:
+    """The positive class words of length ``n`` that are the least of their orbits.
+
+    In lexicographic order.  A prefix of an orbit-least word is
+    orbit-least, so the walk extends only such prefixes, each by the
+    symbols that are their own least image (see :class:`_Orbits`).
     """
-    stack = [((), group)]
+    orbits = _orbits(g)
+    reps, out, steps, step = orbits.reps, orbits.out, orbits.steps, orbits.step
+    stack = [((), orbits.root)]
     while stack:
-        c, fixers = stack.pop()
+        c, fixed = stack.pop()
         if len(c) == n:
             yield c
             continue
-        for b in reversed(out[c[-1]] if c else first):
-            _, least, below = _least_step(fixers, b)
-            if least == b:
-                stack.append((c + (b,), below))
+        for b in reversed(out[c[-1]] if c else reps):
+            if fixed is None:
+                stack.append((c + (b,), None))
+            else:
+                least, _, below = steps.get((fixed, b)) or step(fixed, b)
+                if least == b:
+                    stack.append((c + (b,), below))
 
 
 def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
@@ -358,82 +446,57 @@ def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
     ``R >= 1`` (the left-to-right arrival order adds no other link), so
     exactly these words have positive building count.
 
-    Where the class graph has symmetries (:func:`_class_group`), each
-    prefix ``u`` also carries a relabeling ``pi`` of the group, composed
-    with the twin map, that takes ``u`` to the least class word ``c`` of
-    its orbit, and the maps that fix ``c``.  A relabeling keeps every
-    pair weight, so ``u``'s pair weight product is ``c``'s and
-    ``row(u)[a] = row(c)[pi[a]]``: only orbit-least prefixes are looked
-    up in the memo.  ``pi`` grows by one symbol per step (see
-    :func:`_least_step`), and below a prefix whose fixers are the
-    identity alone it stays as it is.
+    Each prefix ``u`` also carries a relabeling ``pi``, a symmetry of the
+    class graph (:class:`_Orbits`) composed with the twin map, that takes
+    ``u`` to the least class word ``c`` of its orbit.  A relabeling keeps
+    every pair weight, so ``row(u)[a] = row(c)[pi[a]]``: only orbit-least
+    prefixes are looked up in the memo.  ``pi`` grows by one symbol per
+    step, and below a prefix that only the identity fixes it stays as it
+    is; on a graph without symmetries ``pi`` is the twin map throughout.
     """
     if n <= 1:
         return dict.fromkeys(positive_words(g, n), 1)
-    group = _class_group(g)
-    if len(group) > 1:
-        return _orbit_buildings(g, n, group)
-    num, den, out, twin, cache = g._num, g._den, g._out, g._twin, g._tcache
+    num, den, out, cache = g._num, g._den, g._out, g._tcache
+    orbits = _orbits(g)
+    steps, step = orbits.steps, orbits.step
+    plain = range(g.vertex_count)
+    classes = g._twin or plain
     masses = {}
-    # one entry per prefix: the prefix, its pair weight product and its row
-    stack = [((v,), 1, _prefix_row(g, (v,)))
-             for v in reversed(range(g.vertex_count))]
+    # one entry per prefix: the prefix, its pair weight product, its
+    # relabeling, the classes that the relabeled prefix fixes (None when
+    # only the identity fixes them), the relabeled prefix and its row
+    stack = []
+    root = orbits.root
+    for v in reversed(plain):
+        b = classes[v]
+        least, mover, fixed = ((b, None, None) if root is None
+                               else steps.get((root, b)) or step(root, b))
+        stack.append(((v,), 1,
+                      classes if mover is None else [mover[t] for t in classes],
+                      fixed, (least,), _prefix_row(g, (least,))))
     while stack:
-        u, spine, row = stack.pop()
+        u, spine, pi, fixed, c, row = stack.pop()
         last = u[-1]
         links = num[last]
         if len(u) == n - 1:
-            for a in out[last]:
-                masses[u + (a,)] = spine * links[a] * row[a]
+            if pi is classes:
+                # no symmetry moved u, and twins have equal entries
+                for a in out[last]:
+                    masses[u + (a,)] = spine * links[a] * row[a]
+            else:
+                for a in out[last]:
+                    masses[u + (a,)] = spine * links[a] * row[pi[a]]
             continue
         # pushed in reverse, so that the least extension is popped first
         for a in reversed(out[last]):
             w = u + (a,)
-            key = w if twin is None else itemgetter(*w)(twin)
-            stack.append((w, spine * links[a],
-                          cache.get(key) or _fill_row(cache, num, den, key, row)))
-    return masses
-
-
-def _orbit_buildings(g: WeightedGraph, n: int,
-                     group: Sequence[Sequence[int]]) -> dict[Word, int]:
-    """:func:`_scaled_buildings` for ``n >= 2`` on a group other than the identity."""
-    num, den, out, cache = g._num, g._den, g._out, g._tcache
-    classes = g._twin or range(g.vertex_count)
-    identity = group[0]
-    masses = {}
-    # the step from an orbit-least word c by a symbol b, for each c whose
-    # fixers are more than the identity: the least word of c b's orbit, the
-    # map that takes it there and the maps that fix that word
-    steps: dict[tuple[Word, int], tuple[Word, Sequence[int], list]] = {}
-    # one entry per prefix: the prefix, its pair weight product, its
-    # relabeling, the maps that fix its least word, that word and its row
-    stack = []
-    first = [2 * den] * g.vertex_count
-    for v in reversed(range(g.vertex_count)):
-        mover, least, fixers = _least_step(group, classes[v])
-        stack.append(((v,), 1, [mover[t] for t in classes], fixers, (least,),
-                      first))
-    while stack:
-        u, spine, pi, fixers, c, row = stack.pop()
-        last = u[-1]
-        links = num[last]
-        if len(u) == n - 1:
-            for a in out[last]:
-                masses[u + (a,)] = spine * links[a] * row[pi[a]]
-            continue
-        for a in reversed(out[last]):
-            b = pi[a]
-            if len(fixers) == 1:
-                key, moved, below = c + (b,), pi, fixers
-            else:
-                step = steps.get((c, b))
-                if step is None:
-                    mover, least, below = _least_step(fixers, b)
-                    step = steps[c, b] = c + (least,), mover, below
-                key, mover, below = step
-                moved = pi if mover is identity else [mover[s] for s in pi]
-            stack.append((u + (a,), spine * links[a], moved, below, key,
+            moved, below = pi, None
+            if fixed is not None:
+                _, mover, below = steps.get((fixed, pi[a])) or step(fixed, pi[a])
+                if mover is not None:
+                    moved = [mover[s] for s in pi]
+            key = w if moved is plain else c + (moved[a],)
+            stack.append((w, spine * links[a], moved, below, key,
                           cache.get(key) or _fill_row(cache, num, den, key, row)))
     return masses
 
@@ -582,49 +645,6 @@ def _twin_quotient(g: WeightedGraph) -> tuple[Sequence[int], tuple[int, ...],
     return (tuple(v for v in range(q) if size[v]), tuple(size),
             tuple(tuple(v for v in row if size[v]) for row in g._out),
             tuple(tuple(v for v in row if size[v]) for row in g._in))
-
-
-# The symmetries of a class graph are listed only while there are at most
-# _GROUP_BOUND of them.  Their number is known before they are listed (see
-# graphs._automorphisms), so a larger group costs no listing.  Listing
-# K7's 5,040 maps takes about 6 ms, which its walks repay from length 5 on;
-# K8's 40,320 take about 55 ms, and made a length-5 walk on K8 three times
-# slower (23 -> 70 ms).  Past _GROUP_CLASS_BOUND classes no search is made:
-# on a table whose vertices all look alike but have few symmetries, even
-# the order could take long to find.  Either way the identity alone stands
-# for the group, which changes no count, only the time.
-_GROUP_BOUND = 5040
-_GROUP_CLASS_BOUND = 10
-
-
-def _class_group(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms of the class graph that keep class sizes, as vertex maps.
-
-    Each lifts to a weight-preserving permutation of ``g``, so every
-    building count, and every identity over them, is invariant under it.
-    A map is indexed by vertex and takes class representatives to class
-    representatives; it fixes every other vertex.  The identity comes
-    first.
-    """
-    q = g.vertex_count
-    reps, size, _, _ = _twin_quotient(g)
-    trivial = (tuple(range(q)),)
-    if len(reps) > _GROUP_CLASS_BOUND:
-        return trivial
-    num = g._num
-    perms = _automorphisms([[num[a][b] for b in reps] for a in reps],
-                           [size[a] for a in reps], _GROUP_BOUND)
-    if perms is None:
-        return trivial
-    if len(reps) == q:
-        return perms
-    maps = []
-    for p in perms:
-        image = list(range(q))
-        for a, i in zip(reps, p):
-            image[a] = reps[i]
-        maps.append(tuple(image))
-    return tuple(maps)
 
 
 def _sized_links(g: WeightedGraph, size: Sequence[int]

@@ -22,8 +22,8 @@ a middle ``W`` among class words weighted by ``prod s(W_i)``, the sizes
 of its classes.  Left words are further reduced modulo the automorphisms
 of the class graph that keep class sizes (each lifts to a
 weight-preserving vertex relabeling, under which the identity is
-invariant; see :func:`insertproc.buildings._class_group` for the bound
-past which the identity alone stands for them): the walk that lists left
+invariant; see :class:`insertproc.buildings._Orbits`, which searches
+them one step at a time and never lists them): the walk that lists left
 words extends only the least words of their orbits.  With ``B = w * R``,
 the pair weights ``w(x) w(y)`` divide out of both sides of the identity,
 so each stitched word contributes its middle's links times ``R(x W y)``
@@ -51,7 +51,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
-                        _as_word, _check_bound, _class_group, _interval_scaled,
+                        _as_word, _check_bound, _interval_scaled,
                         _least_words, _scaled_building, _scaled_reduced,
                         _sized_links, _twin_quotient, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
@@ -233,7 +233,6 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
 
     reps, size, out, _ = _twin_quotient(g)
     links = _sized_links(g, size)
-    group = _class_group(g)
     den = g._den
 
     @cache
@@ -245,7 +244,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
 
     for n in range(1, max_left + 1):
         # the least class word is the least of its orbit
-        x_reps = list(_least_words(out, n, reps, group))
+        x_reps = list(_least_words(g, n))
         if not x_reps:
             continue
         for m in range(1, max_right + 1):

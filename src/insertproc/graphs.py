@@ -99,15 +99,17 @@ class WeightedGraph:
     reads an exact :class:`~fractions.Fraction` back from it, and the
     counting routines in :mod:`insertproc.buildings` run on it directly.
     Positive-adjacency lists are precomputed.  One internal dictionary is
-    the per-graph memo cache of reduced counts; it never affects equality
-    or hashing.  The memo is keyed on twin classes: two vertices are
-    *twins* when they have the same row and the same column of the table,
-    and ``_twin`` maps each vertex to the least vertex of its class
-    (``None`` when no two vertices are twins).
+    the per-graph memo cache of reduced counts, and ``_orbits`` keeps the
+    graph's symmetry steps once they are first searched for (see
+    :mod:`insertproc.buildings`); neither affects equality or hashing.
+    The memo is keyed on twin classes: two vertices are *twins* when they
+    have the same row and the same column of the table, and ``_twin``
+    maps each vertex to the least vertex of its class (``None`` when no
+    two vertices are twins).
     """
 
     __slots__ = ("vertex_count", "_den", "_num", "_out", "_in",
-                 "_twin", "_hash", "_tcache")
+                 "_twin", "_hash", "_tcache", "_orbits")
 
     def __init__(self, rows: Sequence[Sequence[WeightLike]]):
         n = len(rows)
@@ -133,6 +135,7 @@ class WeightedGraph:
         self._twin = _twin_classes(self._num)
         self._hash = hash((den, self._num))
         self._tcache: dict = {}
+        self._orbits = None
 
     @classmethod
     def from_weights(cls, vertex_count: int,
@@ -508,17 +511,23 @@ def automorphisms(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _automorphisms(num: Sequence[Sequence[int]],
-                   colors: Optional[Sequence[int]] = None,
-                   limit: Optional[int] = None
-                   ) -> Optional[tuple[tuple[int, ...], ...]]:
+                   colors: Optional[Sequence[int]] = None
+                   ) -> tuple[tuple[int, ...], ...]:
     """Permutations of a square table's indices that keep every entry.
 
     With ``colors``, a permutation must also map each index to one of the
-    same color.  The search finds a stabilizer chain: for each ``k``, one
-    permutation per image of ``k`` among those that fix ``0 .. k-1``.
-    Every permutation is then one product of one from each level, so the
-    order of the group is known before it is listed; with ``limit``,
-    ``None`` is returned when the order exceeds it.
+    same color.
+    """
+    return tuple(sorted(_completions(num, _candidates(num, colors), {})))
+
+
+def _candidates(num: Sequence[Sequence[int]],
+                colors: Optional[Sequence[int]] = None
+                ) -> list[tuple[int, ...]]:
+    """For each index, in increasing order, the indices a table automorphism may map it to.
+
+    Those are the indices with the same color, diagonal entry, sorted row
+    and sorted column.
     """
     n = len(num)
     sig = []
@@ -526,52 +535,62 @@ def _automorphisms(num: Sequence[Sequence[int]],
         row = tuple(sorted(num[i]))
         col = tuple(sorted(num[j][i] for j in range(n)))
         sig.append((colors[i] if colors else 0, num[i][i], row, col))
-    candidates = [tuple(u for u in range(n) if sig[u] == sig[k]) for k in range(n)]
-    assign = list(range(n))
+    return [tuple(u for u in range(n) if sig[u] == sig[k]) for k in range(n)]
+
+
+def _completions(num: Sequence[Sequence[int]],
+                 candidates: Sequence[Sequence[int]],
+                 fixed: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
+    """The permutations that keep every entry of ``num`` and extend ``fixed``.
+
+    ``fixed`` maps some indices to their images, and every other index
+    ``k`` is mapped to one of ``candidates[k]`` (see :func:`_candidates`)
+    by backtracking in index order, so the permutations come in
+    lexicographic order for an empty ``fixed``.  Taking only the first
+    decides whether ``fixed`` extends at all.
+    """
+    n = len(num)
+    assign = [-1] * n
     used = [False] * n
+    placed: list[int] = []
 
     def fits(k: int, u: int) -> bool:
-        """Whether ``k -> u`` keeps every entry with the images of ``0 .. k-1``."""
-        return not used[u] and all(num[k][j] == num[u][assign[j]]
-                                   and num[j][k] == num[assign[j]][u]
-                                   for j in range(k))
+        """Whether ``k -> u`` keeps every entry with the images placed so far."""
+        return all(num[k][j] == num[u][assign[j]]
+                   and num[j][k] == num[assign[j]][u] for j in placed)
 
-    def extend(k: int) -> bool:
-        """Complete the images of ``0 .. k-1`` in ``assign``, if they complete."""
-        if k == n:
-            return True
-        for u in candidates[k]:
-            if fits(k, u):
+    for k, u in fixed.items():
+        if used[u] or u not in candidates[k] or not fits(k, u):
+            return
+        assign[k] = u
+        used[u] = True
+        placed.append(k)
+    free = [k for k in range(n) if assign[k] < 0]
+    if not free:
+        yield tuple(assign)
+        return
+    # one iterator of images per free index reached, so no size recurses
+    stack = [iter(candidates[free[0]])]
+    while stack:
+        k = free[len(stack) - 1]
+        if assign[k] >= 0:
+            used[assign[k]] = False
+            assign[k] = -1
+            placed.pop()
+        for u in stack[-1]:
+            if not used[u] and fits(k, u):
                 assign[k] = u
                 used[u] = True
-                found = extend(k + 1)
+                placed.append(k)
+                if len(stack) < len(free):
+                    stack.append(iter(candidates[free[len(stack)]]))
+                    break
+                yield tuple(assign)
                 used[u] = False
-                if found:
-                    return True
-        return False
-
-    levels = []
-    order = 1
-    for k in range(n):
-        # 0 .. k-1 are fixed: assign[j] == j and used[j]
-        level = []
-        for u in candidates[k]:
-            if fits(k, u):
-                assign[k] = u
-                used[u] = True
-                if extend(k + 1):
-                    level.append(tuple(assign))
-                used[u] = False
-        levels.append(level)
-        order *= len(level)
-        if limit is not None and order > limit:
-            return None
-        assign[k] = k
-        used[k] = True
-    maps = [tuple(range(n))]
-    for level in reversed(levels):
-        maps = [tuple(map(t.__getitem__, h)) for t in level for h in maps]
-    return tuple(sorted(maps))
+                assign[k] = -1
+                placed.pop()
+        else:
+            stack.pop()
 
 
 def _weight_str(w: Fraction) -> str:

@@ -19,13 +19,14 @@ from insertproc import (WeightedGraph, building_count,
                         multipartite_graph, block_projection,
                         classify_multipartite, gap_sum, marginal,
                         positive_words, reduced_count, word_weight)
-from insertproc.buildings import (_class_group, _fill_row, _interval_scaled,
-                                  _least_words, _prefix_row,
+from insertproc.buildings import (_fill_row, _interval_scaled,
+                                  _least_words, _orbits, _prefix_row,
                                   _scaled_building, _scaled_buildings,
                                   _scaled_reduced, _twin_quotient,
                                   _walks, bruteforce_sweep,
                                   constraint_edge_classes, recurrence_sweep)
 from insertproc.fixtures import GRAPH_FIXTURES
+from insertproc.graphs import _automorphisms
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -381,7 +382,7 @@ def test_memo_has_no_size_cap():
     g = complete_graph(3)
     g._tcache.update(dict.fromkeys(range(400_000), 0))
     marginal(g, 8)
-    least = list(_least_words(g._out, 7, range(3), _class_group(g)))
+    least = list(_least_words(g, 7))
     assert least and all(u in g._tcache for u in least)
 
 
@@ -508,8 +509,24 @@ def _sweep_cases():
     return graphs + _symmetric_tables(5) + _twin_tables(31, 4)
 
 
+def _class_group(g):
+    """Every size-keeping automorphism of the class graph, listed, as vertex maps."""
+    reps, size, _, _ = _twin_quotient(g)
+    perms = _automorphisms([[g._num[a][b] for b in reps] for a in reps],
+                           [size[a] for a in reps])
+    maps = []
+    for p in perms:
+        image = list(range(g.vertex_count))
+        for a, i in zip(reps, p):
+            image[a] = reps[i]
+        maps.append(tuple(image))
+    return maps
+
+
 def test_planted_symmetry_reaches_the_orbit_walk():
-    assert all(len(_class_group(g)) > 1 for g in _symmetric_tables(5))
+    for g in _symmetric_tables(5):
+        assert len(_class_group(g)) > 1
+        assert _orbits(g).root is not None
 
 
 def test_orbit_walk_matches_the_plain_walk():
@@ -534,12 +551,10 @@ def test_orbit_walk_fills_only_orbit_least_prefixes():
               multipartite_graph(3, 2)):
         g = WeightedGraph([[g.weight(a, b) for b in range(g.vertex_count)]
                            for a in range(g.vertex_count)])
-        reps, _, out, _ = _twin_quotient(g)
-        group = _class_group(g)
-        assert len(group) > 1
+        assert _orbits(g).root is not None
         _scaled_buildings(g, 6)
         longest = sorted(u for u in g._tcache if len(u) == 5)
-        assert longest == list(_least_words(out, 5, reps, group)), g
+        assert longest == list(_least_words(g, 5)), g
 
 
 def _orbit_reps_reference(words, group):
@@ -553,12 +568,14 @@ def _orbit_reps_reference(words, group):
 
 
 def test_least_words_are_the_orbit_representatives():
+    # the searched steps against orbits of the listed group
     for g in _sweep_cases():
         reps, _, out, _ = _twin_quotient(g)
         group = _class_group(g)
+        assert (_orbits(g).root is None) == (len(group) == 1), g
         for n in range(0, 6):
             words = list(_walks(out, n, reps))
-            assert list(_least_words(out, n, reps, group)) == (
+            assert list(_least_words(g, n)) == (
                 _orbit_reps_reference(words, group)), (g, n)
 
 

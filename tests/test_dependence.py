@@ -15,7 +15,7 @@ from insertproc import (ConsistencyNotVerified, ConsistencyReport,
                         min_k_search, multipartite_graph, positive_words,
                         proper_coloring_windows, de_bruijn,
                         triangle_necessity, word_weight)
-from insertproc.buildings import (_class_group, _scaled_building,
+from insertproc.buildings import (_least_words, _scaled_building,
                                   _scaled_reduced)
 
 K3 = complete_graph(3)
@@ -260,12 +260,13 @@ def test_symmetry_reduction_is_invisible():
         assert check_k_dependence(g, k, 3, 3).to_json_dict() == (
             _dependence_by_gap_sum(g, k, 3)), (g, k)
     # multipartite_graph(3, 4) has 12 vertices, past the class bound of the
-    # symmetry group, but 3 classes, whose 6 size-preserving automorphisms
-    # reduce it.  It is too large for the reference; each of its words
+    # symmetry search, but 3 classes, whose 6 size-preserving automorphisms
+    # reduce it to one left word of each length 1 and 2.  It is too large for the reference; each of its words
     # stands for a word of K3, and each of the k middle positions for the 4
     # vertices of a class, so its constants are K3's times 4**k
     k3_4 = multipartite_graph(3, 4)
-    assert len(_class_group(k3_4)) == 6
+    assert [list(_least_words(k3_4, n)) for n in (1, 2, 3)] == [
+        [(0,)], [(0, 1)], [(0, 1, 0), (0, 1, 2)]]
     report = check_k_dependence(k3_4, 2, 3, 3)
     assert report.verified
     k3 = check_k_dependence(K3, 2, 3, 3)
@@ -274,11 +275,11 @@ def test_symmetry_reduction_is_invisible():
 
 
 def test_k9_symmetry_is_not_listed():
-    # K9's 362,880 size-keeping automorphisms are past the group bound, so
-    # the identity stands for them; listing them all took 1.6 s and about
-    # 90 MB of traced memory.  The verdict and witness are the same either way
-    assert len(_class_group(complete_graph(9))) == 1
-    assert len(_class_group(complete_graph(7))) == 5040
+    # K9's 362,880 size-keeping automorphisms are searched one orbit step
+    # at a time; listing them all took 1.6 s and about 90 MB of traced
+    # memory.  The left words are K9's orbit representatives, and the
+    # verdict and witness are the parent's
+    assert list(_least_words(complete_graph(9), 2)) == [(0, 1)]
     tracemalloc.start()
     try:
         report = check_k_dependence(complete_graph(9), 1, 2, 2)

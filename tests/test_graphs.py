@@ -16,7 +16,7 @@ from insertproc import (WeightedGraph, automorphisms, block_projection,
                         kite_graph, multipartite_graph, path_graph, regularity,
                         triangles_per_edge, uniform_weight)
 from insertproc.fixtures import GRAPH_FIXTURES, fixture_text, load_graph_fixture
-from insertproc.graphs import _automorphisms
+from insertproc.graphs import _automorphisms, _candidates, _completions
 
 
 def test_complete_graph_weights():
@@ -310,8 +310,9 @@ def test_automorphisms_preserve_weights():
 
 
 def test_automorphisms_are_every_permutation_that_keeps_the_table():
-    # the stabilizer chain's products, against a filter over all q!
-    # permutations, on seeded tables with and without planted symmetry
+    # the backtracking search, against a filter over all q! permutations,
+    # on seeded tables with and without planted symmetry; with a partial
+    # map fixed, its first completion is the least permutation extending it
     rng = random.Random(7)
     for _ in range(80):
         q = rng.randint(1, 5)
@@ -327,22 +328,27 @@ def test_automorphisms_are_every_permutation_that_keeps_the_table():
             if all(num[i][j] == num[p[i]][p[j]] for i in range(q) for j in range(q))
             and (colors is None or all(colors[i] == colors[p[i]] for i in range(q))))
         assert _automorphisms(num, colors) == expected, (num, colors)
-        assert _automorphisms(num, colors, len(expected)) == expected
-        assert _automorphisms(num, colors, len(expected) - 1) is None
+        for _ in range(4):
+            fixed = dict(zip(rng.sample(range(q), rng.randint(1, q)),
+                             rng.sample(range(q), q)))
+            first = next((p for p in expected
+                          if all(p[k] == u for k, u in fixed.items())), None)
+            assert next(_completions(num, _candidates(num, colors), fixed),
+                        None) == first, (num, colors, fixed)
 
 
-def test_automorphisms_past_the_limit_are_not_listed():
-    # K9 has 362,880 automorphisms; their order is found from one map per
-    # level of the chain, so refusing them costs no listing
+def test_one_completion_lists_no_other():
+    # K9 has 362,880 automorphisms; the first that swaps 0 and 8 is found
+    # without listing the rest
     num = [[int(i != j) for j in range(9)] for i in range(9)]
     tracemalloc.start()
     try:
-        assert _automorphisms(num, None, 5040) is None
+        first = next(_completions(num, _candidates(num), {0: 8, 8: 0}))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
-    assert len(_automorphisms([r[:7] for r in num[:7]], None, 5040)) == 5040
+    assert first == (8, 1, 2, 3, 4, 5, 6, 7, 0)
 
 
 def test_json_roundtrip():
