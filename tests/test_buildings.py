@@ -19,6 +19,7 @@ from insertproc import (WeightedGraph, building_count,
                         multipartite_graph, block_projection,
                         classify_multipartite, gap_sum, marginal,
                         positive_words, reduced_count, word_weight)
+from insertproc import buildings
 from insertproc.buildings import (_fill_row, _interval_scaled,
                                   _least_words, _orbits, _prefix_row,
                                   _scaled_building, _scaled_buildings,
@@ -504,9 +505,47 @@ def _symmetric_tables(seed):
     return [_relabeled(rows, rng) for rows in tables]
 
 
+def _look_alike_tables(seed):
+    """Seeded tables whose vertices all have the same sorted row and column.
+
+    Random 3-regular graphs on 8 vertices and regular tournaments on 7
+    and 9, relabeled; some have symmetries and some only the identity, and
+    the symmetry search must try maps that fail.
+    """
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < 3:
+        stubs = [v for v in range(8) for _ in range(3)]
+        rng.shuffle(stubs)
+        rows = [[0] * 8 for _ in range(8)]
+        for a, b in zip(stubs[::2], stubs[1::2]):
+            if a == b or rows[a][b]:
+                break
+            rows[a][b] = rows[b][a] = 1
+        else:
+            tables.append(rows)
+    for q in (7, 9):
+        rows = [[int(0 < (j - i) % q <= q // 2) for j in range(q)]
+                for i in range(q)]
+        for _ in range(60):
+            # reversing a directed triangle keeps every in- and out-degree
+            a, b, c = rng.sample(range(q), 3)
+            if rows[a][b] and rows[b][c] and rows[c][a]:
+                rows[a][b] = rows[b][c] = rows[c][a] = 0
+                rows[b][a] = rows[c][b] = rows[a][c] = 1
+        tables.append(rows)
+    return [_relabeled(rows, rng) for rows in tables]
+
+
+def test_look_alike_tables_reach_both_outcomes_of_the_search():
+    groups = [len(_class_group(g)) for g in _look_alike_tables(1)]
+    assert 1 in groups and max(groups) > 1, groups
+
+
 def _sweep_cases():
     graphs = [make() for _, make in sorted(GRAPH_FIXTURES.items())]
-    return graphs + _symmetric_tables(5) + _twin_tables(31, 4)
+    return (graphs + _symmetric_tables(5) + _twin_tables(31, 4)
+            + _look_alike_tables(1))
 
 
 def _class_group(g):
@@ -577,6 +616,23 @@ def test_least_words_are_the_orbit_representatives():
             words = list(_walks(out, n, reps))
             assert list(_least_words(g, n)) == (
                 _orbit_reps_reference(words, group)), (g, n)
+
+
+def test_symmetry_steps_are_kept_with_the_graph(monkeypatch):
+    # a second sweep on the same graph searches for no map; an equal graph
+    # built anew searches for its own
+    g = complete_graph(5)
+    first = marginal(g, 4)
+    steps = dict(_orbits(g).steps)
+
+    def search(*args):
+        raise AssertionError("a symmetry search ran")
+
+    monkeypatch.setattr(buildings, "_completions", search)
+    assert marginal(g, 4) == first
+    assert _orbits(g).steps == steps
+    with pytest.raises(AssertionError, match="symmetry search"):
+        marginal(complete_graph(5), 4)
 
 
 @pytest.mark.parametrize("g", [K4, cycle_graph(5)], ids=["k4", "cycle5"])

@@ -294,6 +294,23 @@ def test_k9_symmetry_is_not_listed():
                            "reason": "ratio-mismatch"}}
 
 
+def test_k10_left_words_are_its_orbit_patterns():
+    # K10's 3,628,800 automorphisms leave one left word per pattern of
+    # repeated symbols: 1, 1, 2 and 5 at lengths 1 to 4, out of 7,290 words
+    # at length 4, found without listing the group
+    g = complete_graph(10)
+    tracemalloc.start()
+    try:
+        words = [list(_least_words(g, n)) for n in range(1, 5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert words == [[(0,)], [(0, 1)], [(0, 1, 0), (0, 1, 2)],
+                     [(0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 2, 0), (0, 1, 2, 1),
+                      (0, 1, 2, 3)]]
+
+
 def test_consistency_precondition_enforced():
     with pytest.raises(ConsistencyNotVerified):
         check_k_dependence(kite_graph(), 1, 3, 3)
