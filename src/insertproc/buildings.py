@@ -63,14 +63,16 @@ Two exact kernels serve two call patterns:
   representatives.  A complete multipartite graph thus stores only
   prefixes of the complete graph it projects onto; their rows are still
   indexed by every vertex, twins having equal entries.  A relabeling of
-  the class graph that keeps every weight and class size (an
-  automorphism, :func:`_class_group`) keeps every count, so the sweep
-  of :func:`_scaled_buildings` reads a row only for the least prefix of
+  the class graph that keeps every weight and class size (a symmetry,
+  :class:`_Orbits`) keeps every count, so the sweep of
+  :func:`_scaled_buildings` reads a row only for the least prefix of
   each orbit and carries, per prefix, the relabeling that takes the
   prefix there.  On K4 at length 8 that is 805 rows where every prefix
-  would fill 4,368.  The memo keys and the order of the words swept do
-  not change, and a graph whose only automorphism is the identity is
-  swept as before.
+  would fill 4,368.  The symmetries are never listed: each step of a
+  least prefix is found by a search and kept with the graph, next to the
+  memo.  The memo keys and the order of the words swept do not change,
+  and a prefix that no symmetry moves is keyed and read as it would be
+  without them.
 """
 
 from __future__ import annotations
@@ -344,12 +346,12 @@ class _Orbits:
         self.steps: dict[tuple[int, int], tuple] = {}
         # the class words walked by _least_words
         self.reps, self.out = reps, out
-        self._q = g.vertex_count
-        self._index = dict(zip(reps, range(len(reps))))
-        self._moving: dict[int, bool] = {}
         if len(reps) > _GROUP_CLASS_BOUND:
             self.root = None
             return
+        self._q = g.vertex_count
+        self._index = dict(zip(reps, range(len(reps))))
+        self._moving: dict[int, bool] = {}
         num = g._num
         self._table = [[num[a][b] for b in reps] for a in reps]
         self._candidates = _candidates(self._table, [size[a] for a in reps])
@@ -362,14 +364,34 @@ class _Orbits:
         pinned.update((i, i) for i in range(len(self.reps)) if fixed >> i & 1)
         return _completions(self._table, self._candidates, pinned)
 
+    def _swaps(self, k: int, u: int) -> bool:
+        """Whether exchanging classes ``k`` and ``u`` alone keeps the table.
+
+        Such a map fixes every other class, and it is the one a search
+        finds first on a complete or complete multipartite graph, so it is
+        tried before the search.
+        """
+        t = self._table
+        return t[k][u] == t[u][k] and all(
+            t[k][j] == t[u][j] and t[j][k] == t[j][u]
+            for j in range(len(t)) if j != k and j != u)
+
     def _fixing(self, fixed: int) -> Optional[int]:
         """``fixed``, or ``None`` when only the identity fixes its classes."""
         moving = self._moving.get(fixed)
         if moving is None:
-            # the identity is the first map found, so a second one moves
-            maps = self._maps(fixed)
-            next(maps)
-            moving = self._moving[fixed] = next(maps, None) is not None
+            # a map that fixes these classes moves only the others, each to
+            # one with its signature; the identity is the first map found,
+            # so a second one moves
+            pairs = [(k, u) for k, images in enumerate(self._candidates)
+                     if not fixed >> k & 1 for u in images
+                     if u > k and not fixed >> u & 1]
+            moving = bool(pairs) and any(self._swaps(k, u) for k, u in pairs)
+            if pairs and not moving:
+                maps = self._maps(fixed)
+                next(maps)
+                moving = next(maps, None) is not None
+            self._moving[fixed] = moving
         return fixed if moving else None
 
     def step(self, fixed: int, b: int
@@ -386,13 +408,18 @@ class _Orbits:
         reps, index = self.reps, self._index
         k = index[b]
         least, mover = b, None
-        # a map that fixes a class keeps it, so neither b's class when it is
-        # fixed nor a fixed class is searched for
+        # a map that fixes a class takes no other class there, so a fixed
+        # b keeps its class and no fixed class is an image of b
         for u in () if fixed >> k & 1 else self._candidates[k]:
             if u >= k:
                 break
             if fixed >> u & 1:
                 continue
+            if self._swaps(k, u):
+                least = reps[u]
+                mover = list(range(self._q))
+                mover[b], mover[least] = least, b
+                break
             image = next(self._maps(fixed, {k: u}), None)
             if image is not None:
                 least = reps[u]

@@ -508,9 +508,11 @@ def _symmetric_tables(seed):
 def _look_alike_tables(seed):
     """Seeded tables whose vertices all have the same sorted row and column.
 
-    Random 3-regular graphs on 8 vertices and regular tournaments on 7
-    and 9, relabeled; some have symmetries and some only the identity, and
-    the symmetry search must try maps that fail.
+    Random 3-regular graphs on 8 vertices, regular tournaments on 7 and 9,
+    and two tables with two vertices of equal rows whose columns differ,
+    so that exchanging them is no symmetry; all relabeled.  Some have
+    symmetries and some only the identity, and the symmetry search must
+    try maps that fail.
     """
     rng = random.Random(seed)
     tables = []
@@ -534,6 +536,8 @@ def _look_alike_tables(seed):
                 rows[a][b] = rows[b][c] = rows[c][a] = 0
                 rows[b][a] = rows[c][b] = rows[a][c] = 1
         tables.append(rows)
+    tables.append([[0, 0, 0, 2], [0, 0, 0, 2], [0, 1, 2, 2], [1, 0, 0, 0]])
+    tables.append([[1, 0, 1, 0], [0, 1, 1, 0], [1, 2, 1, 1], [2, 1, 2, 0]])
     return [_relabeled(rows, rng) for rows in tables]
 
 
@@ -619,20 +623,25 @@ def test_least_words_are_the_orbit_representatives():
 
 
 def test_symmetry_steps_are_kept_with_the_graph(monkeypatch):
-    # a second sweep on the same graph searches for no map; an equal graph
-    # built anew searches for its own
-    g = complete_graph(5)
-    first = marginal(g, 4)
-    steps = dict(_orbits(g).steps)
+    # a second sweep on the same graph looks for no step; an equal graph
+    # built anew looks for its own
+    for g in (complete_graph(5), cycle_graph(5)):
+        first = marginal(g, 4)
+        steps = dict(_orbits(g).steps)
+        looked = []
+        step = buildings._Orbits.step
 
-    def search(*args):
-        raise AssertionError("a symmetry search ran")
+        def counted(self, fixed, b):
+            looked.append((fixed, b))
+            return step(self, fixed, b)
 
-    monkeypatch.setattr(buildings, "_completions", search)
-    assert marginal(g, 4) == first
-    assert _orbits(g).steps == steps
-    with pytest.raises(AssertionError, match="symmetry search"):
-        marginal(complete_graph(5), 4)
+        monkeypatch.setattr(buildings._Orbits, "step", counted)
+        assert marginal(g, 4) == first
+        assert not looked and _orbits(g).steps == steps
+        assert marginal(type(g)([[g.weight(a, b) for b in range(5)]
+                                 for a in range(5)]), 4) == first
+        assert len(looked) == len(steps)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("g", [K4, cycle_graph(5)], ids=["k4", "cycle5"])
