@@ -323,7 +323,14 @@ _GROUP_CLASS_BOUND = 10
 
 
 class _Orbits:
-    """Orbit-least steps under the symmetries of a graph's class graph.
+    """The twin quotient of a graph, and orbit-least steps under its symmetries.
+
+    The sweeps walk the quotient: ``reps`` are the class representatives
+    in increasing order, so the class order is the vertex order;
+    ``size[v]`` is the size of ``v``'s class when ``v`` is a
+    representative and 0 otherwise; ``out`` and ``into`` are the positive
+    adjacency rows with only representatives kept.  A graph without twins
+    is its own quotient, every size 1.
 
     The symmetries are the relabelings of the twin class graph that keep
     every weight and class size.  Each lifts to a weight-preserving
@@ -335,27 +342,52 @@ class _Orbits:
     search (:func:`insertproc.graphs._completions`) and keeps it in
     ``steps``, so each step is searched once per graph.  A fixed set is
     carried as ``None`` once only the identity fixes it, and :attr:`root`
-    is ``None`` when the group is the identity alone.
+    is ``None`` when the group is the identity alone; the group is first
+    looked at when :attr:`root` is first read.
     """
 
-    __slots__ = ("root", "steps", "reps", "out", "_q", "_index", "_table",
+    __slots__ = ("reps", "size", "out", "into", "steps", "_index", "_table",
                  "_candidates", "_moving")
 
     def __init__(self, g: WeightedGraph):
-        reps, size, out, _ = _twin_quotient(g)
+        q, twin, num = g.vertex_count, g._twin, g._num
         self.steps: dict[tuple[int, int], tuple] = {}
-        # the class words walked by _least_words
-        self.reps, self.out = reps, out
-        if len(reps) > _GROUP_CLASS_BOUND:
-            self.root = None
-            return
-        self._q = g.vertex_count
-        self._index = dict(zip(reps, range(len(reps))))
         self._moving: dict[int, bool] = {}
-        num = g._num
-        self._table = [[num[a][b] for b in reps] for a in reps]
-        self._candidates = _candidates(self._table, [size[a] for a in reps])
-        self.root = self._fixing(0)
+        if twin is None:
+            self.reps, self.size, self.out, self.into = (
+                range(q), (1,) * q, g._out, g._in)
+            self._table = num
+            return
+        size = [0] * q
+        for c in twin:
+            size[c] += 1
+        reps = self.reps = tuple(v for v in range(q) if size[v])
+        self.size = tuple(size)
+        self.out, self.into = (
+            tuple(tuple(v for v in row if size[v]) for row in rows)
+            for rows in (g._out, g._in))
+        # the class table; past the class bound it is never searched
+        self._table = (num if len(reps) > _GROUP_CLASS_BOUND
+                       else [[num[a][b] for b in reps] for a in reps])
+
+    @property
+    def root(self) -> Optional[int]:
+        """0, no class fixed, or ``None`` when the group is the identity alone."""
+        moving = self._moving
+        if 0 not in moving:
+            reps, table = self.reps, self._table
+            q = len(reps)
+            # a symmetry maps each row to one with the same entries, so if
+            # all differ in sum or entries there is none: no search
+            if (q > _GROUP_CLASS_BOUND or len(set(map(sum, table))) == q
+                    or len(set(map(tuple, map(sorted, table)))) == q):
+                moving[0] = False
+            else:
+                self._index = dict(zip(reps, range(q)))
+                self._candidates = _candidates(table,
+                                               [self.size[a] for a in reps])
+                self._fixing(0)
+        return 0 if moving[0] else None
 
     def _maps(self, fixed: int, pinned: Optional[dict[int, int]] = None
               ) -> Iterator[tuple[int, ...]]:
@@ -417,13 +449,13 @@ class _Orbits:
                 continue
             if self._swaps(k, u):
                 least = reps[u]
-                mover = list(range(self._q))
+                mover = list(range(len(self.size)))
                 mover[b], mover[least] = least, b
                 break
             image = next(self._maps(fixed, {k: u}), None)
             if image is not None:
                 least = reps[u]
-                mover = list(range(self._q))
+                mover = list(range(len(self.size)))
                 for a, i in zip(reps, image):
                     mover[a] = reps[i]
                 break
@@ -445,15 +477,30 @@ def _least_words(g: WeightedGraph, n: int) -> Iterator[Word]:
 
     In lexicographic order.  A prefix of an orbit-least word is
     orbit-least, so the walk extends only such prefixes, each by the
-    symbols that are their own least image (see :class:`_Orbits`).
+    symbols that are their own least image (see :class:`_Orbits`).  The
+    least positive word is a class word, twins having equal rows and
+    columns, and the least of its orbit; it is yielded before the
+    quotient and the group are looked at, so a check that stops there,
+    as most on random tables do, pays for neither.
     """
+    first = next(positive_words(g, n), None)
+    if first is None:
+        return
+    yield first
     orbits = _orbits(g)
-    reps, out, steps, step = orbits.reps, orbits.out, orbits.steps, orbits.step
-    stack = [((), orbits.root)]
+    reps, out, root = orbits.reps, orbits.out, orbits.root
+    if root is None:
+        words = _walks(out, n, reps)
+        next(words)
+        yield from words
+        return
+    steps, step = orbits.steps, orbits.step
+    stack = [((), root)]
     while stack:
         c, fixed = stack.pop()
         if len(c) == n:
-            yield c
+            if c != first:
+                yield c
             continue
         for b in reversed(out[c[-1]] if c else reps):
             if fixed is None:
@@ -649,29 +696,6 @@ def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     if n < 0:
         raise ValueError("word length must be nonnegative")
     return _walks(g._out, n, range(g.vertex_count))
-
-
-def _twin_quotient(g: WeightedGraph) -> tuple[Sequence[int], tuple[int, ...],
-                                              tuple[tuple[int, ...], ...],
-                                              tuple[tuple[int, ...], ...]]:
-    """The twin quotient: ``(reps, size, out, in)``.
-
-    ``reps`` are the class representatives in increasing order, so the
-    class order is the vertex order.  ``size[v]`` is the size of ``v``'s
-    class when ``v`` is a representative and 0 otherwise.  ``out`` and
-    ``in`` are the positive adjacency rows with only representatives kept.
-    A graph without twins is its own quotient, every size 1.
-    """
-    q = g.vertex_count
-    twin = g._twin
-    if twin is None:
-        return range(q), (1,) * q, g._out, g._in
-    size = [0] * q
-    for c in twin:
-        size[c] += 1
-    return (tuple(v for v in range(q) if size[v]), tuple(size),
-            tuple(tuple(v for v in row if size[v]) for row in g._out),
-            tuple(tuple(v for v in row if size[v]) for row in g._in))
 
 
 def _sized_links(g: WeightedGraph, size: Sequence[int]

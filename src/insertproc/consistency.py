@@ -21,12 +21,15 @@ least positive word.
 The sweep runs on the twin quotient.  Twin vertices (same row and column
 of weights) give every pair the same weight, so ``R`` and both extension
 sums depend only on the word of class representatives (the least vertex
-of each class).  Only those *class words* are enumerated, and an
-extension by a representative ``v`` counts ``s(v)`` times, the size of
-its class.  Replacing each symbol by its representative keeps every
-sum and never raises a word lexicographically, so the anchor and the
-first failing word are class words and reports are those of the sweep
-over every word.  A graph without twins is its own quotient.
+of each class).  Only those *class words* are enumerated; their
+extensions range over every vertex.  Replacing each symbol by its
+representative keeps every sum and never raises a word
+lexicographically, so the anchor and the first failing word are class
+words.  Of those, only the least word of each orbit under the
+size-keeping automorphisms of the class graph is checked (see
+:func:`insertproc.buildings._least_words`): a relabeling keeps both
+sums, and a word fails exactly when the least of its orbit, no larger,
+does.  Reports are those of the sweep over every word.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .buildings import (Word, reduced_count, _check_bound, _prefix_row,
-                        _scaled_reduced, _sized_links, _twin_quotient, _walks)
+from .buildings import (Word, reduced_count, _check_bound, _least_words,
+                        _prefix_row, _scaled_reduced)
 from .graphs import WeightedGraph, complete_graph, uniform_weight
 
 __all__ = [
@@ -107,9 +110,11 @@ class ConsistencyReport:
 def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
     """Verify the extension identities for every length ``n < max_len``.
 
-    Scans positive-weight class words in lexicographic order; the first
-    word whose right or left extension sum deviates (by exact
-    cross-multiplication) from the anchored constant is reported.  Refused
+    Scans the positive-weight class words that are the least of their
+    orbits, in lexicographic order; the first word whose right or left
+    extension sum deviates (by exact cross-multiplication) from the
+    anchored constant is reported.  A word fails with its whole orbit, so
+    this is the witness of the sweep over every word.  Refused
     when ``q**max_len`` exceeds the enumeration bound, with ``q`` the
     vertex count of ``g``, not its class count.
     """
@@ -117,21 +122,17 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
         raise ValueError("window bound must be at least 2")
     _check_bound(g.vertex_count, max_len)
     den2 = g._den * g._den
-    reps, size, out, into = _twin_quotient(g)
-    # an extension by v stands for its whole class, so its link carries s(v)
-    right_links = _sized_links(g, size)
-    left_links = g._num if g._twin is None else [
-        [s * w for w in row] for row, s in zip(g._num, size)]
+    num, into = g._num, g._in
     constants: dict[int, Fraction] = {}
     for n in range(1, max_len):
         anchor_right = None
-        for word in _walks(out, n, reps):
+        for word in _least_words(g, n):
             base = _scaled_reduced(g, word)
-            # the word's row holds every right extension; a link is zero
-            # off the positive out-row and at every vertex outside ``reps``
-            right = sum(map(mul, right_links[word[-1]], _prefix_row(g, word)))
+            # the word's row holds every right extension, twins alike; a
+            # link is zero off the positive out-row
+            right = sum(map(mul, num[word[-1]], _prefix_row(g, word)))
             first = word[0]
-            left = sum(left_links[u][first] * _scaled_reduced(g, (u,) + word)
+            left = sum(num[u][first] * _scaled_reduced(g, (u,) + word)
                        for u in into[first])
             if anchor_right is None:
                 anchor_right, anchor_base = right, base

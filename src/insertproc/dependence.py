@@ -28,7 +28,8 @@ words extends only the least words of their orbits.  With ``B = w * R``,
 the pair weights ``w(x) w(y)`` divide out of both sides of the identity,
 so each stitched word contributes its middle's links times ``R(x W y)``
 on the per-graph reduced-count memo, which the sweep over all right
-words and middles shares.  A single pair
+words and middles shares; the middles in one orbit of the maps that fix
+``x`` read the rows of the least of them (:func:`_middles`).  A single pair
 (:func:`gap_sum`, each constant's anchor, and the re-check of a witness)
 is one chart of the interval DP of :mod:`insertproc.buildings` on the
 graph itself, with the ``k`` middle positions free, so it walks no
@@ -52,8 +53,8 @@ from typing import Optional, Sequence
 
 from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
                         _as_word, _check_bound, _interval_scaled,
-                        _least_words, _scaled_building, _scaled_reduced,
-                        _sized_links, _twin_quotient, _walks)
+                        _least_words, _orbits, _Orbits, _scaled_building,
+                        _scaled_reduced, _sized_links, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, has_directed_triangle
@@ -120,43 +121,66 @@ class DependenceReport:
         }
 
 
-def _middles(links: Sequence[Sequence[int]],
-             out: Sequence[Sequence[int]], x: Word,
-             k: int) -> list[tuple[Word, int, int]]:
-    """``(x W, weight, last)`` for each class middle ``W`` of length ``k``.
+def _middles(orbits: _Orbits, links: Sequence[Sequence[int]], x: Word,
+             k: int) -> list[tuple[Word, int, int, Optional[list[int]]]]:
+    """``(x c, weight, last, pi)`` for each class middle ``W`` of length ``k``.
 
-    Middles run over the positive class chains out of ``x``.  ``weight``
-    multiplies the links from ``x[-1]`` through ``W``, each times the
-    size of the class it enters (``links``), and ``last`` is the symbol
-    before the right word.
+    Middles run over the positive class chains out of the orbit-least
+    left word ``x``.  ``weight`` multiplies the links from ``x[-1]``
+    through ``W``, each times the size of the class it enters
+    (``links``), and ``last`` is the symbol before the right word.  ``pi``
+    (``None`` for the identity) is a symmetry that fixes every class of
+    ``x`` and takes ``W`` to ``c``, the least middle of its orbit under
+    those maps, found one step per symbol as the prefix walk of
+    :func:`insertproc.buildings._scaled_buildings` finds its relabeling.
+    A symmetry keeps every count, so ``R(x W y) = R(x c pi(y))``: a whole
+    orbit of middles reads the rows of one ``x c``, and every sum is the
+    same as over the rows of ``x W``.
     """
+    out, steps, step = orbits.out, orbits.steps, orbits.step
+    fixed = orbits.root
+    for b in x:
+        if fixed is None:
+            break
+        fixed = (steps.get((fixed, b)) or step(fixed, b))[2]
     terms = []
-    start = x[-1]
-    for mid in _walks(out, k, out[start]):
-        weight, a = 1, start
-        for c in mid:
-            weight *= links[a][c]
-            a = c
-        terms.append((x + mid, weight, a))
+    # one entry per middle prefix: its least image, its weight, its last
+    # symbol, its relabeling and the classes that x and the image fix
+    stack = [((), 1, x[-1], None, fixed)]
+    while stack:
+        c, weight, a, pi, fixed = stack.pop()
+        if len(c) == k:
+            terms.append((x + c, weight, a, pi))
+            continue
+        for b in out[a]:
+            moved, below = pi, None
+            image = b if pi is None else pi[b]
+            if fixed is not None:
+                image, mover, below = (steps.get((fixed, image))
+                                       or step(fixed, image))
+                if mover is not None:
+                    moved = mover if pi is None else [mover[s] for s in pi]
+            stack.append((c + (image,), weight * links[a][b], b, moved, below))
     return terms
 
 
-def _reduced_gap_sum(g: WeightedGraph, terms: list[tuple[Word, int, int]],
-                     y: Word) -> int:
+def _reduced_gap_sum(g: WeightedGraph, terms: list[tuple], y: Word) -> int:
     """``sum_W B(x W y) / (w(x) w(y))``, scaled, over the middles of ``x``.
 
     A stitched word's pair weights are ``x``'s, the middle's links, the
     link into ``y`` and ``y``'s; the first and last factors are left out,
-    and each term is the rest times ``R(x W y)`` on the memo.  A middle
-    whose last symbol has zero weight to ``y[0]`` is skipped.
+    and each term is the rest times ``R(x W y) = R(x c pi(y))`` on the
+    memo (see :func:`_middles`).  A middle whose last symbol has zero
+    weight to ``y[0]`` is skipped.
     """
     num = g._num
     first = y[0]
     total = 0
-    for xm, weight, last in terms:
+    for xc, weight, last, pi in terms:
         f = num[last][first]
         if f:
-            total += weight * f * _scaled_reduced(g, xm + y)
+            total += weight * f * _scaled_reduced(
+                g, xc + (y if pi is None else tuple([pi[s] for s in y])))
     return total
 
 
@@ -231,7 +255,8 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
         raise ValueError(
             f"consistency verified only to {consistency.max_len}, need {need}")
 
-    reps, size, out, _ = _twin_quotient(g)
+    orbits = _orbits(g)
+    reps, size, out = orbits.reps, orbits.size, orbits.out
     links = _sized_links(g, size)
     den = g._den
 
@@ -266,7 +291,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             anchor = b_x0 * b_y0
             r_ys = [_scaled_reduced(g, y) for y in ys]
             for x in x_reps:
-                terms = _middles(links, out, x, k)
+                terms = _middles(orbits, links, x, k)
                 rhs_factor = lhs0 * _scaled_reduced(g, x)
                 for y, r_y in zip(ys, r_ys):
                     if _reduced_gap_sum(g, terms, y) * anchor == rhs_factor * r_y:

@@ -227,7 +227,8 @@ class _GapRows(dict):
     (two factors) are comparable integers.  The empty word's one gap is
     ``(q, q)``, which admits every vertex with equal weight.  A word
     reaches few flank pairs, and all ``(q + 1)**2`` rows would not fit at
-    large ``q``, so no dense table is built.
+    large ``q``, so no dense table is built.  Twins have equal rows and
+    columns, so flanks share the row of their twin classes.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -238,6 +239,12 @@ class _GapRows(dict):
         g = self.graph
         q = g.vertex_count
         a, b = key
+        twin = g._twin
+        if twin is not None:
+            classes = twin[a] if a < q else q, twin[b] if b < q else q
+            if classes != key:
+                row = self[key] = self[classes]
+                return row
         lefts = g._num[a] if a < q else repeat(g._den, q)
         rights = [row[b] for row in g._num] if b < q else repeat(g._den, q)
         products = list(map(mul, lefts, rights))

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 import pytest
@@ -19,15 +19,16 @@ from insertproc import (WeightedGraph, building_count,
                         multipartite_graph, block_projection,
                         classify_multipartite, gap_sum, marginal,
                         positive_words, reduced_count, word_weight)
-from insertproc import buildings
+from insertproc import buildings, dependence
+from insertproc.consistency import (ConsistencyCounterexample,
+                                    ConsistencyReport)
 from insertproc.buildings import (_fill_row, _interval_scaled,
                                   _least_words, _orbits, _prefix_row,
                                   _scaled_building, _scaled_buildings,
-                                  _scaled_reduced, _twin_quotient,
-                                  _walks, bruteforce_sweep,
+                                  _scaled_reduced, _walks, bruteforce_sweep,
                                   constraint_edge_classes, recurrence_sweep)
 from insertproc.fixtures import GRAPH_FIXTURES
-from insertproc.graphs import _automorphisms
+from insertproc.graphs import _automorphisms, _candidates
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -554,7 +555,7 @@ def _sweep_cases():
 
 def _class_group(g):
     """Every size-keeping automorphism of the class graph, listed, as vertex maps."""
-    reps, size, _, _ = _twin_quotient(g)
+    reps, size = _orbits(g).reps, _orbits(g).size
     perms = _automorphisms([[g._num[a][b] for b in reps] for a in reps],
                            [size[a] for a in reps])
     maps = []
@@ -613,7 +614,7 @@ def _orbit_reps_reference(words, group):
 def test_least_words_are_the_orbit_representatives():
     # the searched steps against orbits of the listed group
     for g in _sweep_cases():
-        reps, _, out, _ = _twin_quotient(g)
+        reps, out = _orbits(g).reps, _orbits(g).out
         group = _class_group(g)
         assert (_orbits(g).root is None) == (len(group) == 1), g
         for n in range(0, 6):
@@ -652,3 +653,169 @@ def test_recurrence_sweep_matches_the_brute_force_to_length_7(g):
         (rv, rs), (bv, bs) = rec[m], bf[m]
         assert rs % bs == 0
         assert [int(a) for a in rv] == [int(b) * (rs // bs) for b in bv], m
+
+
+# The verifier sweeps on the orbit walk: consistency words and gap-sum
+# middles, against test-side copies of the sweeps that walk every class word
+
+def _consistency_reference(g, max_len):
+    """``check_consistency`` over every class word, as before the orbit walk."""
+    den2 = g._den * g._den
+    orbits = _orbits(g)
+    reps, size, out, into = orbits.reps, orbits.size, orbits.out, orbits.into
+    right_links = [[w * s for w, s in zip(row, size)] for row in g._num]
+    left_links = [[s * w for w in row] for row, s in zip(g._num, size)]
+    constants = {}
+    for n in range(1, max_len):
+        anchor = None
+        for word in _walks(out, n, reps):
+            base = _scaled_reduced(g, word)
+            right = sum(map(mul, right_links[word[-1]], _prefix_row(g, word)))
+            left = sum(left_links[u][word[0]] * _scaled_reduced(g, (u,) + word)
+                       for u in into[word[0]])
+            if anchor is None:
+                anchor = right, base
+                expected = Fraction(right, base * den2)
+                if right:
+                    constants[n] = expected
+            for side, total in (("right", right), ("left", left)):
+                if total * anchor[1] != anchor[0] * base:
+                    return ConsistencyReport(max_len, constants,
+                                             ConsistencyCounterexample(
+                                                 word, side,
+                                                 Fraction(total, base * den2),
+                                                 expected))
+        if anchor is None:
+            return ConsistencyReport(max_len, constants, None, degenerate_at=n)
+    return ConsistencyReport(max_len, constants, None, None)
+
+
+def _unequal_multipartite():
+    graphs = []
+    for sizes in ((1, 1, 2), (1, 2, 3), (1, 1, 1, 2), (1, 2, 2, 3), (2, 3)):
+        part = [p for p, s in enumerate(sizes) for _ in range(s)]
+        graphs.append(WeightedGraph([[0 if a == b else 1 for b in part]
+                                     for a in part]))
+    return graphs
+
+
+def _random_tables(seed, count):
+    """Random 3- to 5-vertex tables with weights in [1/8, 3/2], some looped."""
+    rng = random.Random(seed)
+    return [WeightedGraph([[Fraction(rng.randint(1, 12), 8) if a != b
+                            else Fraction(rng.randint(0, 6), 8) * (i % 3 == 0)
+                            for b in range(q)] for a in range(q)])
+            for i, q in enumerate(rng.choice((3, 4, 5)) for _ in range(count))]
+
+
+def _verifier_cases():
+    return _sweep_cases() + _unequal_multipartite() + _random_tables(3, 12)
+
+
+def _copy(g):
+    return WeightedGraph([[Fraction(v, g._den) for v in row]
+                          for row in g._num])
+
+
+def test_consistency_reports_match_the_sweep_over_every_class_word():
+    for g in _verifier_cases():
+        for max_len in range(2, 9):
+            if g.vertex_count ** max_len > 50_000:
+                break
+            assert check_consistency(_copy(g), max_len) == (
+                _consistency_reference(_copy(g), max_len)), (g, max_len)
+
+
+def _middle_sum_reference(g, x, y, k):
+    """The gap sum over every class middle, each read on the row of ``x W``."""
+    orbits = _orbits(g)
+    links = [[w * s for w, s in zip(row, orbits.size)] for row in g._num]
+    total = 0
+    for mid in _walks(orbits.out, k, orbits.out[x[-1]]):
+        weight, a = 1, x[-1]
+        for c in mid:
+            weight *= links[a][c]
+            a = c
+        if g._num[a][y[0]]:
+            total += weight * g._num[a][y[0]] * _scaled_reduced(g, x + mid + y)
+    return total
+
+
+def test_middle_sums_match_the_walk_over_every_middle():
+    # every orbit-least x and every class word y up to length 3, at
+    # k = 0-3, on the memo as the sweep leaves it
+    for g in _verifier_cases():
+        orbits = _orbits(g)
+        classes = len(orbits.reps)
+        links = [[w * s for w, s in zip(row, orbits.size)] for row in g._num]
+        ys = [y for m in (1, 2, 3) for y in _walks(orbits.out, m, orbits.reps)]
+        for k in range(4):
+            for n in (1, 2, 3):
+                if classes ** (n + k + 3) > 20_000:
+                    break
+                for x in _least_words(g, n):
+                    terms = dependence._middles(orbits, links, x, k)
+                    for y in ys:
+                        assert dependence._reduced_gap_sum(g, terms, y) == (
+                            _middle_sum_reference(g, x, y, k)), (g, x, y, k)
+
+
+def _searched_root(g):
+    """``_fixing(0)`` of a fresh :class:`_Orbits`, by the search alone."""
+    orbits = buildings._Orbits(g)
+    reps = orbits.reps
+    orbits._index = dict(zip(reps, range(len(reps))))
+    orbits._candidates = _candidates(orbits._table,
+                                     [orbits.size[a] for a in reps])
+    return orbits._fixing(0)
+
+
+def _colliding_tables(seed):
+    """Seeded tables with equal row sums, some also with equal sorted rows.
+
+    Small weights make both collisions common; most have no symmetry.
+    """
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < 40:
+        q = rng.choice((3, 4, 5))
+        g = WeightedGraph([[rng.randint(0, 2) for _ in range(q)]
+                           for _ in range(q)])
+        sums = [sum(row) for row in g._num]
+        if len(set(sums)) < q:
+            tables.append(g)
+    return tables
+
+
+def test_trivial_group_check_agrees_with_the_search():
+    cases = (_colliding_tables(2) + _verifier_cases() + _twin_tables(41, 6))
+    trivial = {True: 0, False: 0}
+    for g in cases:
+        orbits = _orbits(g)
+        root = orbits.root
+        assert root == _searched_root(g), g
+        assert (root is None) == (len(_class_group(g)) == 1), g
+        reps = orbits.reps
+        table = [[g._num[a][b] for b in reps] for a in reps]
+        distinct = (len({sum(r) for r in table}) == len(reps)
+                    or len({tuple(sorted(r)) for r in table}) == len(reps))
+        # the search runs only where rows collide
+        searched = hasattr(orbits, "_candidates")
+        assert searched != distinct, g
+        if root is None:
+            trivial[searched] += 1
+    # both routes to the identity group are taken: the cheap check and,
+    # on tables whose rows collide, the search
+    assert trivial[True] and trivial[False], trivial
+
+
+def test_orbit_sweeps_fill_fewer_rows():
+    # the work at the parent commit was 164 and 39,360 rows
+    g = complete_graph(5)
+    report = check_k_dependence(g, 3, 3, 3)
+    assert len(g._tcache) <= 32
+    cx = report.counterexample
+    assert (cx.x, cx.y, cx.lhs, cx.expected) == ((0,), (1,), 4200, 4144)
+    g = complete_graph(4)
+    assert check_consistency(g, 10).verified
+    assert len(g._tcache) <= 10_932

@@ -223,6 +223,30 @@ def test_insertion_step_normalizer_complete_graphs():
             assert sum(rows[f].total for f in flanks) == 2 * (q - 1) + (i - 1) * (q - 2)
 
 
+def test_gap_rows_are_shared_by_twin_classes():
+    # every pair of flanks, the end sentinel q included, reads the row of
+    # its own flanks; twins share one row per pair of twin classes
+    rng = random.Random(4)
+    rows = [[Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(3)]
+            for _ in range(3)]
+    for row in rows:
+        row.append(row[1])
+    rows.append(list(rows[1]))
+    for g in (multipartite_graph(3, 2), multipartite_graph(4, 2),
+              WeightedGraph(rows), complete_graph(4)):
+        q, num, den = g.vertex_count, g._num, g._den
+        gap_rows = _GapRows(g)
+        for a, b in product(range(q + 1), repeat=2):
+            weights = [(num[a][v] if a < q else den)
+                       * (num[v][b] if b < q else den) for v in range(q)]
+            row = gap_rows[a, b]
+            assert row.vertices == [v for v in range(q) if weights[v]]
+            assert row.weights == [w for w in weights if w]
+            assert row.cumulative == list(accumulate(row.weights))
+        classes = len(set(g._twin or range(q))) + 1
+        assert len({id(row) for row in gap_rows.values()}) == classes ** 2
+
+
 class _FixedBits:
     """Stands in for the generator: every 64-bit draw is ``u``."""
 
