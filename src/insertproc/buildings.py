@@ -478,24 +478,22 @@ def _least_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     In lexicographic order.  A prefix of an orbit-least word is
     orbit-least, so the walk extends only such prefixes, each by the
     symbols that are their own least image (see :class:`_Orbits`).  The
-    least positive word is a class word, twins having equal rows and
-    columns, and the least of its orbit; it is yielded before the
-    quotient and the group are looked at, so a check that stops there,
-    as most on random tables do, pays for neither.
+    least positive word, a class word (twins have equal rows and columns)
+    and the least of its orbit, comes before the group is looked at, so
+    a check that stops there, as most on random tables do, pays for no
+    search; without twins or symmetries the walk that found it goes on.
     """
-    first = next(positive_words(g, n), None)
+    words = _walks(g._out, n, range(g.vertex_count))
+    first = next(words, None)
     if first is None:
         return
     yield first
     orbits = _orbits(g)
-    reps, out, root = orbits.reps, orbits.out, orbits.root
-    if root is None:
-        words = _walks(out, n, reps)
-        next(words)
+    if orbits.root is None and g._twin is None:
         yield from words
         return
-    steps, step = orbits.steps, orbits.step
-    stack = [((), root)]
+    reps, out, steps, step = orbits.reps, orbits.out, orbits.steps, orbits.step
+    stack = [((), orbits.root)]
     while stack:
         c, fixed = stack.pop()
         if len(c) == n:

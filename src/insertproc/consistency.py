@@ -21,15 +21,15 @@ least positive word.
 The sweep runs on the twin quotient.  Twin vertices (same row and column
 of weights) give every pair the same weight, so ``R`` and both extension
 sums depend only on the word of class representatives (the least vertex
-of each class).  Only those *class words* are enumerated; their
-extensions range over every vertex.  Replacing each symbol by its
+of each class).  Only those *class words* are enumerated, their
+extensions ranging over every vertex: replacing each symbol by its
 representative keeps every sum and never raises a word
 lexicographically, so the anchor and the first failing word are class
-words.  Of those, only the least word of each orbit under the
-size-keeping automorphisms of the class graph is checked (see
-:func:`insertproc.buildings._least_words`): a relabeling keeps both
-sums, and a word fails exactly when the least of its orbit, no larger,
-does.  Reports are those of the sweep over every word.
+words.  Of those, only the least of each orbit under the size-keeping
+automorphisms of the class graph is checked
+(:func:`insertproc.buildings._least_words`); a relabeling keeps both
+sums, so a word fails with the least of its orbit, and reports are those
+of the sweep over every word.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
             # link is zero off the positive out-row
             right = sum(map(mul, num[word[-1]], _prefix_row(g, word)))
             first = word[0]
-            left = sum(num[u][first] * _scaled_reduced(g, (u,) + word)
-                       for u in into[first])
+            left = sum([num[u][first] * _scaled_reduced(g, (u,) + word)
+                        for u in into[first]])
             if anchor_right is None:
                 anchor_right, anchor_base = right, base
                 expected = Fraction(right, base * den2)
@@ -142,13 +142,17 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
                 # recording a non-positive constant here
                 if right != 0:
                     constants[n] = expected
-            for side, total in (("right", right), ("left", left)):
-                if total * anchor_base != anchor_right * base:
-                    return ConsistencyReport(
-                        max_len, constants,
-                        ConsistencyCounterexample(
-                            word, side, Fraction(total, base * den2),
-                            expected))
+            target = anchor_right * base
+            if right * anchor_base != target:
+                side, total = "right", right
+            elif left * anchor_base != target:
+                side, total = "left", left
+            else:
+                continue
+            return ConsistencyReport(
+                max_len, constants,
+                ConsistencyCounterexample(
+                    word, side, Fraction(total, base * den2), expected))
         if anchor_right is None:
             return ConsistencyReport(max_len, constants, None, degenerate_at=n)
     return ConsistencyReport(max_len, constants, None, None)

@@ -613,14 +613,20 @@ def _orbit_reps_reference(words, group):
 
 def test_least_words_are_the_orbit_representatives():
     # the searched steps against orbits of the listed group
-    for g in _sweep_cases():
+    routes = set()
+    for g in _verifier_cases():
         reps, out = _orbits(g).reps, _orbits(g).out
         group = _class_group(g)
         assert (_orbits(g).root is None) == (len(group) == 1), g
+        routes.add((len(group) == 1, g._twin is None))
         for n in range(0, 6):
             words = list(_walks(out, n, reps))
             assert list(_least_words(g, n)) == (
                 _orbit_reps_reference(words, group)), (g, n)
+    # the plain walk (no twins, no symmetry) and the pruned walk with
+    # and without a symmetry are each taken
+    assert routes == {(True, True), (True, False), (False, True),
+                      (False, False)}
 
 
 def test_symmetry_steps_are_kept_with_the_graph(monkeypatch):
