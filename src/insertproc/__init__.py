@@ -22,12 +22,12 @@ from .dependence import (DependenceCounterexample, DependenceReport,
 from .fixtures import (fixture_names, fixture_text, load_graph_fixture,
                        load_sft_fixture)
 from .graphs import (MultipartiteClassification, UniformWeightReport,
-                     WeightedGraph, automorphisms, block_projection,
-                     classify_multipartite, complete_graph, cycle_graph,
-                     find_kite, graph_from_json_dict, graph_to_json_dict,
+                     WeightedGraph, block_projection, classify_multipartite,
+                     complete_graph, cycle_graph, find_kite,
+                     graph_from_json_dict, graph_to_json_dict,
                      has_directed_triangle, is_strongly_connected, kite_graph,
-                     load_graph, multipartite_graph, path_graph, regularity,
-                     save_graph, triangles_per_edge, uniform_weight)
+                     multipartite_graph, path_graph, regularity,
+                     triangles_per_edge, uniform_weight)
 from .poly import (Polynomial, reduced_count_pattern, reduced_count_symbolic,
                    short_word_closed_forms)
 from .process import (DeadEndError, GapIndependenceResult, Marginal,
@@ -35,8 +35,8 @@ from .process import (DeadEndError, GapIndependenceResult, Marginal,
                       insertion_marginal_gap, marginal, sample_exact,
                       sample_insertion, stationarity_check)
 from .sft import (LRReport, ShiftOfFiniteType, check_lr, de_bruijn,
-                  de_bruijn_windows, load_sft, not_finitely_dependent_certificate,
-                  project, proper_coloring_windows, sample_sft, save_sft,
+                  de_bruijn_windows, not_finitely_dependent_certificate,
+                  project, proper_coloring_windows, sample_sft,
                   sft_from_json_dict, sft_to_json_dict)
 
 __version__ = "1.0.0"

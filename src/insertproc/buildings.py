@@ -64,15 +64,16 @@ Two exact kernels serve two call patterns:
   prefixes of the complete graph it projects onto; their rows are still
   indexed by every vertex, twins having equal entries.  A relabeling of
   the class graph that keeps every weight and class size (a symmetry,
-  :class:`_Orbits`) keeps every count, so the sweep of
-  :func:`_scaled_buildings` reads a row only for the least prefix of
-  each orbit and carries, per prefix, the relabeling that takes the
-  prefix there.  On K4 at length 8 that is 805 rows where every prefix
-  would fill 4,368.  The symmetries are never listed: each step of a
-  least prefix is found by a search and kept with the graph, next to the
-  memo.  The memo keys and the order of the words swept do not change,
-  and a prefix that no symmetry moves is keyed and read as it would be
-  without them.
+  :class:`_Orbits`) keeps every count.  So every sweep, over all words
+  here and over the words and middles of the verifiers, walks one
+  generator, :func:`_chains`: it carries, per prefix, the relabeling
+  that takes the prefix to the least of its orbit, and the sweeps read
+  rows only for those least prefixes.  On K4 at length 8 that is 805
+  rows where every prefix would fill 4,368.  The symmetries are never
+  listed: each step of a least prefix is found by a search and kept with
+  the graph, next to the memo.  The memo keys and the order of the words
+  swept do not change, and a prefix that no symmetry moves is keyed and
+  read as it would be without them.
 """
 
 from __future__ import annotations
@@ -340,7 +341,8 @@ class _Orbits:
     those maps depend only on the set of classes fixed, a bit mask here.
     The group is never listed: :meth:`step` finds one least image by
     search (:func:`insertproc.graphs._completions`) and keeps it in
-    ``steps``, so each step is searched once per graph.  A fixed set is
+    ``steps``, so each step is searched once per graph; :func:`_chains`
+    takes the steps of every walk.  A fixed set is
     carried as ``None`` once only the identity fixes it, and :attr:`root`
     is ``None`` when the group is the identity alone; the group is first
     looked at when :attr:`root` is first read.
@@ -472,16 +474,62 @@ def _orbits(g: WeightedGraph) -> _Orbits:
     return orbits
 
 
+def _chains(orbits: _Orbits, out: Sequence[Sequence[int]],
+            links: Sequence[Sequence[int]], n: int, first: Sequence[int],
+            head: Sequence[int], fixed: Optional[int],
+            pi: Optional[Sequence[int]], least: bool = False
+            ) -> Iterator[tuple[Word, int, Word, Optional[Sequence[int]]]]:
+    """``(word, weight, image, pi)`` for each chain of length ``n``, in lexicographic order.
+
+    The first symbol ranges over ``first``, weighted by ``head``, and each
+    later one over the ``out`` row of the symbol before, weighted by
+    ``links``; ``weight`` is the product.  ``pi`` maps onto class words
+    (``None`` for the identity), and ``fixed`` holds the classes that every
+    map used must fix (see :class:`_Orbits`).  Each symbol is mapped by
+    ``pi`` and moved to its least image under the maps that also fix the
+    image so far, and that map is composed into ``pi``: ``image`` is the
+    least word of the orbit of ``pi(word)``, and the ``pi`` yielded takes
+    ``word`` there.  With ``least``, a symbol that would be moved is not
+    taken, so the chains yielded are those whose ``pi`` stays ``None``.
+    """
+    steps, step = orbits.steps, orbits.step
+    if n == 0:
+        yield (), 1, (), pi
+        return
+    # one entry per chain shorter than n: the chain, its weight, the
+    # choices and links of its next symbol, its image, its relabeling and
+    # the classes fixed
+    stack = [((), 1, first, head, (), pi, fixed)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        word, weight, choices, row, image, pi, fixed = pop()
+        # the chains of length n are yielded in order; shorter ones are
+        # pushed in reverse, so that the least is popped first
+        leaf = len(word) == n - 1
+        for b in choices if leaf else reversed(choices):
+            c = b if pi is None else pi[b]
+            moved, below = pi, None
+            if fixed is not None:
+                c, mover, below = steps.get((fixed, c)) or step(fixed, c)
+                if mover is not None:
+                    if least:
+                        continue
+                    moved = mover if pi is None else [mover[s] for s in pi]
+            if leaf:
+                yield word + (b,), weight * row[b], image + (c,), moved
+            else:
+                push((word + (b,), weight * row[b], out[b], links[b],
+                      image + (c,), moved, below))
+
+
 def _least_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     """The positive class words of length ``n`` that are the least of their orbits.
 
-    In lexicographic order.  A prefix of an orbit-least word is
-    orbit-least, so the walk extends only such prefixes, each by the
-    symbols that are their own least image (see :class:`_Orbits`).  The
-    least positive word, a class word (twins have equal rows and columns)
-    and the least of its orbit, comes before the group is looked at, so
-    a check that stops there, as most on random tables do, pays for no
-    search; without twins or symmetries the walk that found it goes on.
+    In lexicographic order, from :func:`_chains`.  The least positive
+    word, a class word (twins have equal rows and columns) and the least
+    of its orbit, comes before the group is looked at, so a check that
+    stops there, as most on random tables do, pays for no search; without
+    twins or symmetries the walk that found it goes on.
     """
     words = _walks(g._out, n, range(g.vertex_count))
     first = next(words, None)
@@ -492,84 +540,41 @@ def _least_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     if orbits.root is None and g._twin is None:
         yield from words
         return
-    reps, out, steps, step = orbits.reps, orbits.out, orbits.steps, orbits.step
-    stack = [((), orbits.root)]
-    while stack:
-        c, fixed = stack.pop()
-        if len(c) == n:
-            if c != first:
-                yield c
-            continue
-        for b in reversed(out[c[-1]] if c else reps):
-            if fixed is None:
-                stack.append((c + (b,), None))
-            else:
-                least, _, below = steps.get((fixed, b)) or step(fixed, b)
-                if least == b:
-                    stack.append((c + (b,), below))
+    for c, _, _, _ in _chains(orbits, orbits.out, g._num, n, orbits.reps,
+                              (1,) * g.vertex_count, orbits.root, None,
+                              least=True):
+        if c != first:
+            yield c
 
 
 def _scaled_buildings(g: WeightedGraph, n: int) -> dict[Word, int]:
     """``B * D^(2n-2)`` of each positive word of length ``n``, in lexicographic order.
 
-    A depth-first walk over the positive prefixes carries each prefix's
-    scaled pair weight product and row: a row is filled from its parent's
-    and read once for all the extensions of its prefix.  ``B = w * R`` and
+    The walk of :func:`_chains` over the positive prefixes of length
+    ``n - 1`` carries each prefix's scaled pair weight product, and the
+    prefix's row is read once for all its extensions.  ``B = w * R`` and
     ``R >= 1`` (the left-to-right arrival order adds no other link), so
     exactly these words have positive building count.
 
-    Each prefix ``u`` also carries a relabeling ``pi``, a symmetry of the
-    class graph (:class:`_Orbits`) composed with the twin map, that takes
-    ``u`` to the least class word ``c`` of its orbit.  A relabeling keeps
-    every pair weight, so ``row(u)[a] = row(c)[pi[a]]``: only orbit-least
-    prefixes are looked up in the memo.  ``pi`` grows by one symbol per
-    step, and below a prefix that only the identity fixes it stays as it
-    is; on a graph without symmetries ``pi`` is the twin map throughout.
+    The walk starts from the twin map, so each prefix ``u`` comes with a
+    relabeling ``pi``, a symmetry of the class graph composed with the
+    twin map, that takes ``u`` to the least class word ``c`` of its
+    orbit.  A relabeling keeps every pair weight, so ``row(u)[a] =
+    row(c)[pi[a]]``: only orbit-least prefixes are looked up in the memo.
     """
     if n <= 1:
         return dict.fromkeys(positive_words(g, n), 1)
-    num, den, out, cache = g._num, g._den, g._out, g._tcache
+    num, out, cache = g._num, g._out, g._tcache
     orbits = _orbits(g)
-    steps, step = orbits.steps, orbits.step
     plain = range(g.vertex_count)
-    classes = g._twin or plain
     masses = {}
-    # one entry per prefix: the prefix, its pair weight product, its
-    # relabeling, the classes that the relabeled prefix fixes (None when
-    # only the identity fixes them), the relabeled prefix and its row
-    stack = []
-    root = orbits.root
-    for v in reversed(plain):
-        b = classes[v]
-        least, mover, fixed = ((b, None, None) if root is None
-                               else steps.get((root, b)) or step(root, b))
-        stack.append(((v,), 1,
-                      classes if mover is None else [mover[t] for t in classes],
-                      fixed, (least,), _prefix_row(g, (least,))))
-    while stack:
-        u, spine, pi, fixed, c, row = stack.pop()
-        last = u[-1]
-        links = num[last]
-        if len(u) == n - 1:
-            if pi is classes:
-                # no symmetry moved u, and twins have equal entries
-                for a in out[last]:
-                    masses[u + (a,)] = spine * links[a] * row[a]
-            else:
-                for a in out[last]:
-                    masses[u + (a,)] = spine * links[a] * row[pi[a]]
-            continue
-        # pushed in reverse, so that the least extension is popped first
-        for a in reversed(out[last]):
-            w = u + (a,)
-            moved, below = pi, None
-            if fixed is not None:
-                _, mover, below = steps.get((fixed, pi[a])) or step(fixed, pi[a])
-                if mover is not None:
-                    moved = [mover[s] for s in pi]
-            key = w if moved is plain else c + (moved[a],)
-            stack.append((w, spine * links[a], moved, below, key,
-                          cache.get(key) or _fill_row(cache, num, den, key, row)))
+    for u, spine, c, pi in _chains(orbits, out, num, n - 1, plain,
+                                   (1,) * len(plain), orbits.root,
+                                   g._twin or plain):
+        row = cache.get(c) or _prefix_row(g, c)
+        links = num[u[-1]]
+        for a in out[u[-1]]:
+            masses[u + (a,)] = spine * links[a] * row[pi[a]]
     return masses
 
 
@@ -694,19 +699,6 @@ def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     if n < 0:
         raise ValueError("word length must be nonnegative")
     return _walks(g._out, n, range(g.vertex_count))
-
-
-def _sized_links(g: WeightedGraph, size: Sequence[int]
-                 ) -> Sequence[Sequence[int]]:
-    """Scaled pair weights ``num[a][v] * s(v)``, for a link into a free position.
-
-    A free position ranges over class representatives, and ``v`` stands
-    for the ``s(v)`` vertices of its class.  Without twins this is the
-    table itself.
-    """
-    if g._twin is None:
-        return g._num
-    return [[w * s for w, s in zip(row, size)] for row in g._num]
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,8 @@ representative keeps every sum and never raises a word
 lexicographically, so the anchor and the first failing word are class
 words.  Of those, only the least of each orbit under the size-keeping
 automorphisms of the class graph is checked
-(:func:`insertproc.buildings._least_words`); a relabeling keeps both
+(:func:`insertproc.buildings._least_words`, on the orbit walk of
+:func:`insertproc.buildings._chains`); a relabeling keeps both
 sums, so a word fails with the least of its orbit, and reports are those
 of the sweep over every word.
 """

@@ -23,8 +23,9 @@ of its classes.  Left words are further reduced modulo the automorphisms
 of the class graph that keep class sizes (each lifts to a
 weight-preserving vertex relabeling, under which the identity is
 invariant; see :class:`insertproc.buildings._Orbits`, which searches
-them one step at a time and never lists them): the walk that lists left
-words extends only the least words of their orbits.  With ``B = w * R``,
+them one step at a time and never lists them): the orbit walk
+:func:`insertproc.buildings._chains` lists only the least left words of
+their orbits, and it walks the middles too.  With ``B = w * R``,
 the pair weights ``w(x) w(y)`` divide out of both sides of the identity,
 so each stitched word contributes its middle's links times ``R(x W y)``
 on the per-graph reduced-count memo, which the sweep over all right
@@ -52,9 +53,9 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
-                        _as_word, _check_bound, _interval_scaled,
+                        _as_word, _chains, _check_bound, _interval_scaled,
                         _least_words, _orbits, _Orbits, _scaled_building,
-                        _scaled_reduced, _sized_links, _walks)
+                        _scaled_reduced, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
 from .graphs import WeightedGraph, has_directed_triangle
@@ -122,46 +123,30 @@ class DependenceReport:
 
 
 def _middles(orbits: _Orbits, links: Sequence[Sequence[int]], x: Word,
-             k: int) -> list[tuple[Word, int, int, Optional[list[int]]]]:
+             k: int) -> list[tuple[Word, int, int, Optional[Sequence[int]]]]:
     """``(x c, weight, last, pi)`` for each class middle ``W`` of length ``k``.
 
-    Middles run over the positive class chains out of the orbit-least
-    left word ``x``.  ``weight`` multiplies the links from ``x[-1]``
-    through ``W``, each times the size of the class it enters
-    (``links``), and ``last`` is the symbol before the right word.  ``pi``
-    (``None`` for the identity) is a symmetry that fixes every class of
-    ``x`` and takes ``W`` to ``c``, the least middle of its orbit under
-    those maps, found one step per symbol as the prefix walk of
-    :func:`insertproc.buildings._scaled_buildings` finds its relabeling.
-    A symmetry keeps every count, so ``R(x W y) = R(x c pi(y))``: a whole
-    orbit of middles reads the rows of one ``x c``, and every sum is the
-    same as over the rows of ``x W``.
+    Middles are the positive class chains out of the orbit-least left
+    word ``x``, walked by :func:`insertproc.buildings._chains` under the
+    maps that fix every class of ``x``.  ``weight`` multiplies the links
+    from ``x[-1]`` through ``W``, each times the size of the class it
+    enters (``links``), and ``last`` is the symbol before the right word.
+    ``pi`` (``None`` for the identity) takes ``W`` to ``c``, the least
+    middle of its orbit under those maps.  A symmetry keeps every count,
+    so ``R(x W y) = R(x c pi(y))``: a whole orbit of middles reads the
+    rows of one ``x c``, and every sum is the same as over the rows of
+    ``x W``.
     """
-    out, steps, step = orbits.out, orbits.steps, orbits.step
+    steps, step = orbits.steps, orbits.step
     fixed = orbits.root
     for b in x:
         if fixed is None:
             break
         fixed = (steps.get((fixed, b)) or step(fixed, b))[2]
-    terms = []
-    # one entry per middle prefix: its least image, its weight, its last
-    # symbol, its relabeling and the classes that x and the image fix
-    stack = [((), 1, x[-1], None, fixed)]
-    while stack:
-        c, weight, a, pi, fixed = stack.pop()
-        if len(c) == k:
-            terms.append((x + c, weight, a, pi))
-            continue
-        for b in out[a]:
-            moved, below = pi, None
-            image = b if pi is None else pi[b]
-            if fixed is not None:
-                image, mover, below = (steps.get((fixed, image))
-                                       or step(fixed, image))
-                if mover is not None:
-                    moved = mover if pi is None else [mover[s] for s in pi]
-            stack.append((c + (image,), weight * links[a][b], b, moved, below))
-    return terms
+    a = x[-1]
+    return [(x + c, weight, w[-1] if k else a, pi) for w, weight, c, pi in
+            _chains(orbits, orbits.out, links, k, orbits.out[a], links[a],
+                    fixed, None)]
 
 
 def _reduced_gap_sum(g: WeightedGraph, terms: list[tuple], y: Word) -> int:
@@ -257,7 +242,9 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
 
     orbits = _orbits(g)
     reps, size, out = orbits.reps, orbits.size, orbits.out
-    links = _sized_links(g, size)
+    # a free position ranges over class representatives, each standing for
+    # the vertices of its class
+    links = [[w * s for w, s in zip(row, size)] for row in g._num]
     den = g._den
 
     @cache

@@ -11,7 +11,6 @@ assumptions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -43,11 +42,8 @@ __all__ = [
     "triangles_per_edge",
     "classify_multipartite",
     "block_projection",
-    "automorphisms",
     "graph_to_json_dict",
     "graph_from_json_dict",
-    "save_graph",
-    "load_graph",
 ]
 
 
@@ -501,26 +497,6 @@ def block_projection(g: WeightedGraph, classification: MultipartiteClassificatio
     return tuple(out)
 
 
-def automorphisms(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
-    """All weight-preserving vertex permutations, as image tuples.
-
-    Backtracking search; intended for the small graphs this package works
-    with.  The identity is always included and the result is sorted.
-    """
-    return _automorphisms(g._num)
-
-
-def _automorphisms(num: Sequence[Sequence[int]],
-                   colors: Optional[Sequence[int]] = None
-                   ) -> tuple[tuple[int, ...], ...]:
-    """Permutations of a square table's indices that keep every entry.
-
-    With ``colors``, a permutation must also map each index to one of the
-    same color.
-    """
-    return tuple(sorted(_completions(num, _candidates(num, colors), {})))
-
-
 def _candidates(num: Sequence[Sequence[int]],
                 colors: Optional[Sequence[int]] = None
                 ) -> list[tuple[int, ...]]:
@@ -634,13 +610,3 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
                              f"use an exact 'p/q' string")
     return WeightedGraph.from_weights(n, entries)
 
-
-def save_graph(g: WeightedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_graph(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))

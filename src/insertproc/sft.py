@@ -13,7 +13,6 @@ finitely dependent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,8 +32,6 @@ __all__ = [
     "not_finitely_dependent_certificate",
     "sft_to_json_dict",
     "sft_from_json_dict",
-    "save_sft",
-    "load_sft",
 ]
 
 
@@ -263,13 +260,3 @@ def sft_from_json_dict(data: dict) -> ShiftOfFiniteType:
         raise ValueError("'allowed' must be a list of windows")
     return ShiftOfFiniteType(q, n, allowed)
 
-
-def save_sft(s: ShiftOfFiniteType, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sft_to_json_dict(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_sft(path) -> ShiftOfFiniteType:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sft_from_json_dict(json.load(fh))

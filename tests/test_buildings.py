@@ -22,13 +22,13 @@ from insertproc import (WeightedGraph, building_count,
 from insertproc import buildings, dependence
 from insertproc.consistency import (ConsistencyCounterexample,
                                     ConsistencyReport)
-from insertproc.buildings import (_fill_row, _interval_scaled,
+from insertproc.buildings import (_chains, _fill_row, _interval_scaled,
                                   _least_words, _orbits, _prefix_row,
                                   _scaled_building, _scaled_buildings,
                                   _scaled_reduced, _walks, bruteforce_sweep,
                                   constraint_edge_classes, recurrence_sweep)
 from insertproc.fixtures import GRAPH_FIXTURES
-from insertproc.graphs import _automorphisms, _candidates
+from insertproc.graphs import _candidates, _completions
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -556,10 +556,10 @@ def _sweep_cases():
 def _class_group(g):
     """Every size-keeping automorphism of the class graph, listed, as vertex maps."""
     reps, size = _orbits(g).reps, _orbits(g).size
-    perms = _automorphisms([[g._num[a][b] for b in reps] for a in reps],
-                           [size[a] for a in reps])
+    table = [[g._num[a][b] for b in reps] for a in reps]
     maps = []
-    for p in perms:
+    for p in _completions(table, _candidates(table, [size[a] for a in reps]),
+                          {}):
         image = list(range(g.vertex_count))
         for a, i in zip(reps, p):
             image[a] = reps[i]
@@ -627,6 +627,35 @@ def test_least_words_are_the_orbit_representatives():
     # and without a symmetry are each taken
     assert routes == {(True, True), (True, False), (False, True),
                       (False, False)}
+
+
+def test_chains_carry_the_least_image_its_relabeling_and_the_link_product():
+    # the walk of every class chain from the root: each image is the least
+    # word of its orbit under the listed group, pi takes the word there, and
+    # the weight multiplies the links; with least, the walk yields exactly
+    # the chains whose pi stays the identity
+    for g in _verifier_cases():
+        orbits = _orbits(g)
+        reps, out = orbits.reps, orbits.out
+        group = _class_group(g)
+        links = [[w * s for w, s in zip(row, orbits.size)] for row in g._num]
+        head = [v + 2 for v in range(g.vertex_count)]
+        for n in range(0, 6):
+            if len(reps) ** n > 5_000:
+                break
+            full = list(_chains(orbits, out, links, n, reps, head,
+                                orbits.root, None))
+            assert [w for w, _, _, _ in full] == list(_walks(out, n, reps))
+            for word, weight, image, pi in full:
+                assert image == min(tuple(p[s] for s in word) for p in group)
+                assert image == (word if pi is None
+                                 else tuple(pi[s] for s in word)), (g, word)
+                assert weight == prod(
+                    [head[s] for s in word[:1]]
+                    + [links[a][b] for a, b in zip(word, word[1:])])
+            least = list(_chains(orbits, out, links, n, reps, head,
+                                 orbits.root, None, least=True))
+            assert least == [t for t in full if t[3] is None], (g, n)
 
 
 def test_symmetry_steps_are_kept_with_the_graph(monkeypatch):
@@ -816,12 +845,18 @@ def test_trivial_group_check_agrees_with_the_search():
 
 
 def test_orbit_sweeps_fill_fewer_rows():
-    # the work at the parent commit was 164 and 39,360 rows
+    # the work before the orbit walks was 4,368, 164 and 39,360 rows
+    g = complete_graph(4)
+    marginal(g, 8)
+    assert len(g._tcache) == 805
     g = complete_graph(5)
     report = check_k_dependence(g, 3, 3, 3)
-    assert len(g._tcache) <= 32
+    assert len(g._tcache) == 32
     cx = report.counterexample
     assert (cx.x, cx.y, cx.lhs, cx.expected) == ((0,), (1,), 4200, 4144)
     g = complete_graph(4)
     assert check_consistency(g, 10).verified
-    assert len(g._tcache) <= 10_932
+    assert len(g._tcache) == 10_932
+    g = multipartite_graph(4, 2)
+    assert check_k_dependence(g, 1, 4, 4).verified
+    assert len(g._tcache) == 2_451
