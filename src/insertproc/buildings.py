@@ -251,7 +251,7 @@ def _prefix_row(g: WeightedGraph, u: Word) -> Sequence[int]:
 
 
 def _fill_row(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
-              u: Word, head: Sequence[int] | None = None) -> list[int]:
+              u: Word) -> list[int]:
     """Count and store the row of a class prefix of length >= 2 that the memo lacks.
 
     Deleting a position of ``u a`` leaves ``u`` (factor ``D``), ``u[1:] a``
@@ -264,8 +264,7 @@ def _fill_row(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
 
     with ``R(u) = row(u[:-1])[u[-1]]``, all scaled.  Every child is a
     class prefix one shorter; each is looked up inline, so a Python call
-    is made only for a child that the memo also lacks.  ``head`` is the
-    row of ``u[:-1]`` when the caller already holds it.
+    is made only for a child that the memo also lacks.
     """
     m = len(u)
     if m == 2:
@@ -274,9 +273,8 @@ def _fill_row(cache: dict, num: tuple[tuple[int, ...], ...], den: int,
         row = [two * (two + f) for f in num[u[0]]]
     else:
         get = cache.get
-        if head is None:
-            child = u[:-1]
-            head = get(child) or _fill_row(cache, num, den, child)
+        child = u[:-1]
+        head = get(child) or _fill_row(cache, num, den, child)
         child = u[1:]
         tail = get(child) or _fill_row(cache, num, den, child)
         base = den * head[u[-1]]

@@ -458,7 +458,7 @@ def _walk_reference(g, n):
             w = u + (a,)
             key = w if twin is None else itemgetter(*w)(twin)
             stack.append((w, spine * links[a],
-                          cache.get(key) or _fill_row(cache, num, den, key, row)))
+                          cache.get(key) or _fill_row(cache, num, den, key)))
     return masses
 
 
