@@ -218,9 +218,6 @@ def building_count_bruteforce(g: WeightedGraph, word: Sequence[int]) -> Fraction
     """
     w = _as_word(g, word)
     n = len(w)
-    if n > _BRUTEFORCE_MAX_LEN:
-        raise ValueError(f"word of length {n} exceeds the brute-force bound "
-                         f"{_BRUTEFORCE_MAX_LEN}")
     num = g._num
     den = g._den
     max_edges = max(0, 2 * n - 3)
@@ -706,23 +703,27 @@ def constraint_edge_classes(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
     Returns ``((pairs, count), ...)`` sorted by ``pairs``, where ``count``
     is the number of arrival orders producing exactly that edge set.  Each
     edge set contains every consecutive pair ``(i, i+1)``, and no pair
-    repeats, so the sets are genuine sets.
+    repeats, so the sets are genuine sets.  The ``n!`` orders are
+    enumerated, so ``n`` is at most 8.
     """
+    _check_bruteforce_len(n)
     counter = Counter(tuple(sorted(_links(o))) for o in permutations(range(n)))
     assert all(len(set(key)) == len(key) for key in counter)
     return tuple(sorted(counter.items()))
 
 
-def _digit_arrays(q: int, m: int, lo: int, hi: int, dtype) -> list[np.ndarray]:
-    """Per position, the symbols of the length-``m`` words indexed ``lo .. hi-1``."""
-    import numpy as np
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return [((idx // (q ** (m - 1 - j))) % q).astype(dtype) for j in range(m)]
+def _check_bruteforce_len(n: int) -> None:
+    """Refuse a length the arrival-order enumeration cannot take."""
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+    if n > _BRUTEFORCE_MAX_LEN:
+        raise ValueError(f"length {n} exceeds the brute-force bound "
+                         f"{_BRUTEFORCE_MAX_LEN}")
 
 
-# bruteforce_sweep counts the words of one length in blocks of this many,
-# so its arrays, one per position, per pair and per prefix product, stay
-# small however many words the length has
+# bruteforce_sweep counts the positive words of one length in blocks of
+# this many, so its arrays, one per position, per pair and per prefix
+# product, stay small however many words the length has
 _SWEEP_BLOCK = 4096
 
 
@@ -734,17 +735,31 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     index is the base-``q`` encoding of the word (most significant symbol
     first).  The sum over arrival orders is organized through
     :func:`constraint_edge_classes`, which keeps this an independent route
-    from the deletion recurrence.
+    from the deletion recurrence.  Every building links every consecutive
+    pair, so ``B`` is zero wherever the word weight is: the class sums run
+    over the positive words only, found from the weight table, and every
+    other index holds zero.  ``max_len`` is at most 8 and ``q**max_len``
+    at most the enumeration bound.
     """
     import numpy as np
+    _check_bruteforce_len(max_len)
     q = g.vertex_count
+    _check_bound(q, max_len)
     den = g._den
     maxnum = max(den, max(map(max, g._num)))
+    # positive[a, b] says whether a word may step from a to b
+    positive = np.array([[w > 0 for w in row] for row in g._num])
+    digit_type = np.min_scalar_type(q - 1)
+    # the sorted indices of the positive words of the current length
+    words = np.arange(q, dtype=np.int64)
     out: dict[int, tuple[np.ndarray, int]] = {}
     for m in range(0, max_len + 1):
         if m <= 1:
             out[m] = (np.ones(q ** m, dtype=np.int64), 1)
             continue
+        # each word of length m-1 extends by the out-pattern of its last
+        # symbol; the row-major mask keeps the new indices sorted
+        words = (words[:, None] * q + np.arange(q))[positive[words % q]]
         classes = constraint_edge_classes(m)
         e_max = max(len(pairs) for pairs, _ in classes)
         # int64 suffices below 2^62.  Per word, with every factor (D
@@ -767,10 +782,11 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
             assert len(extras) == len(pairs) - len(path_pairs)
             by_extras.append((extras, count, e_max - len(pairs)))
         by_extras.sort()
-        blocks = []
-        for lo in range(0, q ** m, _SWEEP_BLOCK):
-            hi = min(lo + _SWEEP_BLOCK, q ** m)
-            digits = _digit_arrays(q, m, lo, hi, np.min_scalar_type(q - 1))
+        values = np.zeros(q ** m, dtype=dtype)
+        for lo in range(0, len(words), _SWEEP_BLOCK):
+            block = words[lo:lo + _SWEEP_BLOCK]
+            digits = [(block // q ** (m - 1 - j) % q).astype(digit_type)
+                      for j in range(m)]
             pairval: dict[tuple[int, int], np.ndarray] = {}
 
             def pv(a: int, b: int) -> np.ndarray:
@@ -783,8 +799,8 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
             for i in range(1, m - 1):
                 path_prod = path_prod * pv(i, i + 1)
             prev: tuple[tuple[int, int], ...] = ()
-            prods = [np.ones(hi - lo, dtype=dtype)]
-            acc = np.zeros(hi - lo, dtype=dtype)
+            prods = [np.ones(len(block), dtype=dtype)]
+            acc = np.zeros(len(block), dtype=dtype)
             for extras, count, pad in by_extras:
                 keep = 0
                 while (keep < min(len(prev), len(extras))
@@ -795,8 +811,8 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
                     prods.append(prods[-1] * pv(*pair))
                 prev = extras
                 acc += count * (den ** pad) * prods[-1]
-            blocks.append(path_prod * acc)
-        out[m] = (np.concatenate(blocks), den ** e_max)
+            values[block] = path_prod * acc
+        out[m] = (values, den ** e_max)
     return out
 
 
@@ -806,10 +822,14 @@ def recurrence_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     Same indexing and scaling conventions as :func:`bruteforce_sweep` (here
     the scale is ``D^(2m-2)``).  Values are exact Python ints in object
     arrays, taken as ``w * R`` over the positive words, by prefix row, and
-    zero at every other index.
+    zero at every other index.  ``q**max_len`` is at most the enumeration
+    bound.
     """
     import numpy as np
+    if max_len < 0:
+        raise ValueError("word length must be nonnegative")
     q = g.vertex_count
+    _check_bound(q, max_len)
     out: dict[int, tuple[np.ndarray, int]] = {}
     for m in range(max_len + 1):
         values = np.zeros(q ** m, dtype=object)

@@ -183,7 +183,10 @@ def verify_identities(max_len: int = 5, seed: int = 20240801,
     for K2, K3, the kite and five random 4-vertex tables drawn from
     ``seed``, every word up to ``max_len`` is counted by both the deletion
     recurrence and direct summation over arrival orders, and the values
-    are compared exactly.  ``max_len`` runs from 2 to 7, and ``threads``
+    are compared exactly.  The arrival-order class sums run over the
+    positive words; every other word counts zero on both routes, since
+    every building links every consecutive pair, and is compared as such.
+    ``max_len`` runs from 2 to 7, and ``threads``
     worker processes, at most one per graph, share the sweep.
     """
     if not 2 <= max_len <= 7:

@@ -16,7 +16,7 @@ from insertproc import (WeightedGraph, building_count,
                         building_count_bruteforce, building_weight,
                         check_k_dependence, complete_graph, constraint_graph,
                         check_consistency, cycle_graph, kite_graph,
-                        multipartite_graph, block_projection,
+                        multipartite_graph, path_graph, block_projection,
                         classify_multipartite, gap_sum, marginal,
                         positive_words, reduced_count, word_weight)
 from insertproc import buildings, dependence
@@ -271,6 +271,64 @@ def test_bruteforce_sweep_keeps_one_prefix_chain():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+# the oracle where positive words are sparse and where they are dense, to
+# length 6, with the first length held in an object array (past 6: none)
+_ORACLE_TABLES = {
+    "path4": (path_graph(4), 7),
+    "sink": (WeightedGraph([[0, 1, 2], [Fraction(1, 2), 0, 0], [0, 0, 0]]), 7),
+    "one-vertex": (WeightedGraph([[0]]), 7),
+    "one-loop": (WeightedGraph([[Fraction(3, 2)]]), 7),
+    "looped": (_random_graph(random.Random(5), 3, with_loops=True), 7),
+    "object": (WeightedGraph([[0 if i == j else Fraction(97, 16)
+                               for j in range(3)] for i in range(3)]), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_TABLES))
+def test_bruteforce_sweep_is_zero_off_the_positive_words(name):
+    g, wide = _ORACLE_TABLES[name]
+    sweep = bruteforce_sweep(g, 6)
+    for m in range(7):
+        values, scale = sweep[m]
+        assert values.dtype == (object if m >= wide else np.int64), m
+        words = itertools.product(range(g.vertex_count), repeat=m)
+        for idx, word in enumerate(words):
+            count = Fraction(int(values[idx]), scale)
+            assert count == building_count_bruteforce(g, word), word
+            if word_weight(g, word) == 0:
+                assert values[idx] == 0, word
+            else:
+                assert count > 0, word
+
+
+def test_sweeps_refuse_before_allocating():
+    # 4**13 words would be an object array of 67 M entries, and length 9
+    # would enumerate 9! arrival orders
+    tracemalloc.start()
+    try:
+        for call in (lambda: recurrence_sweep(K4, 13),
+                     lambda: recurrence_sweep(K4, 10 ** 9),
+                     lambda: bruteforce_sweep(complete_graph(8), 8)):
+            with pytest.raises(ValueError, match="enumeration bound exceeded"):
+                call()
+        for call in (lambda: bruteforce_sweep(complete_graph(2), 9),
+                     lambda: constraint_edge_classes(9)):
+            with pytest.raises(ValueError, match="brute-force bound 8"):
+                call()
+        for call in (lambda: recurrence_sweep(K4, -1),
+                     lambda: bruteforce_sweep(K4, -1),
+                     lambda: constraint_edge_classes(-1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
+    # the largest accepted lengths
+    assert len(recurrence_sweep(complete_graph(2), 8)[8][0]) == 2 ** 8
+    assert len(bruteforce_sweep(complete_graph(2), 8)[8][0]) == 2 ** 8
 
 
 def test_long_walks_do_not_recurse():
