@@ -78,7 +78,6 @@ Two exact kernels serve two call patterns:
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -86,11 +85,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial, prod
-from operator import index, itemgetter, mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .graphs import (_ENUMERATION_BOUND, WeightedGraph, _candidates,
-                     _completions)
+                     _completions, _integer, _size)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,32 +117,19 @@ _BRUTEFORCE_MAX_LEN = 8
 
 
 def _as_word(g: WeightedGraph, word: Sequence[int]) -> Word:
-    """Validate a word and return it as a tuple of plain ``int`` vertices.
-
-    Any integer type, numpy integers included, is accepted through
-    ``operator.index``; bools are rejected rather than read as 0 and 1.
-    """
-    # numpy is imported only by the array sweeps below, so that counting
-    # does not pay for it; a numpy bool can only come from a caller that
-    # imported numpy itself
-    numpy = sys.modules.get("numpy")
-    bools = bool if numpy is None else (bool, numpy.bool_)
-    out = []
-    for s in word:
-        if isinstance(s, bools):
-            raise ValueError(f"symbol {s!r} is a bool, not a vertex")
-        try:
-            v = index(s)
-        except TypeError:
-            raise ValueError(f"symbol {s!r} is not an integer vertex") from None
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"symbol {s!r} outside the vertex set")
-        out.append(v)
-    return tuple(out)
+    """``word`` as a tuple of plain ``int`` vertices, through ``g._vertex``."""
+    # a list first: a tuple built from an iterator is resized to its
+    # length, and the resized words stock the tuple free lists of their
+    # sizes, which raised the count benchmark's peak RSS by about 1 MB
+    return tuple([g._vertex(s) for s in word])
 
 
 def _as_order(order: Sequence[int], n: int) -> BuildOrder:
-    o = tuple(order)
+    try:
+        o = tuple(map(_integer, order))
+    except TypeError:
+        raise ValueError(
+            f"arrival order {order!r} has non-integer positions") from None
     if sorted(o) != list(range(n)):
         raise ValueError(f"arrival order {order!r} is not a permutation of 0..{n - 1}")
     return o
@@ -324,8 +310,8 @@ class _Orbits:
     The sweeps walk the quotient: ``reps`` are the class representatives
     in increasing order, so the class order is the vertex order;
     ``size[v]`` is the size of ``v``'s class when ``v`` is a
-    representative and 0 otherwise; ``out`` and ``into`` are the positive
-    adjacency rows with only representatives kept.  A graph without twins
+    representative and 0 otherwise; ``out`` holds the positive adjacency
+    rows with only representatives kept.  A graph without twins
     is its own quotient, every size 1.
 
     The symmetries are the relabelings of the twin class graph that keep
@@ -343,7 +329,7 @@ class _Orbits:
     looked at when :attr:`root` is first read.
     """
 
-    __slots__ = ("reps", "size", "out", "into", "steps", "_index", "_table",
+    __slots__ = ("reps", "size", "out", "steps", "_index", "_table",
                  "_candidates", "_moving")
 
     def __init__(self, g: WeightedGraph):
@@ -351,8 +337,7 @@ class _Orbits:
         self.steps: dict[tuple[int, int], tuple] = {}
         self._moving: dict[int, bool] = {}
         if twin is None:
-            self.reps, self.size, self.out, self.into = (
-                range(q), (1,) * q, g._out, g._in)
+            self.reps, self.size, self.out = range(q), (1,) * q, g._out
             self._table = num
             return
         size = [0] * q
@@ -360,9 +345,7 @@ class _Orbits:
             size[c] += 1
         reps = self.reps = tuple(v for v in range(q) if size[v])
         self.size = tuple(size)
-        self.out, self.into = (
-            tuple(tuple(v for v in row if size[v]) for row in rows)
-            for rows in (g._out, g._in))
+        self.out = tuple(tuple(v for v in row if size[v]) for row in g._out)
         # the class table; past the class bound it is never searched
         self._table = (num if len(reps) > _GROUP_CLASS_BOUND
                        else [[num[a][b] for b in reps] for a in reps])
@@ -691,12 +674,11 @@ def _walks(out: Sequence[Sequence[int]], n: int,
 
 def positive_words(g: WeightedGraph, n: int) -> Iterator[Word]:
     """All words of length ``n`` with positive word weight, in lexicographic order."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    return _walks(g._out, n, range(g.vertex_count))
+    return _walks(g._out, _size(n, "word length"), range(g.vertex_count))
 
 
-@lru_cache(maxsize=None)
+# typed, so that True and 2.0 are not answered from the entries of 1 and 2
+@lru_cache(maxsize=None, typed=True)
 def constraint_edge_classes(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """Constraint-graph position-pair sets over all arrival orders of length ``n``.
 
@@ -706,19 +688,19 @@ def constraint_edge_classes(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
     repeats, so the sets are genuine sets.  The ``n!`` orders are
     enumerated, so ``n`` is at most 8.
     """
-    _check_bruteforce_len(n)
+    n = _check_bruteforce_len(n)
     counter = Counter(tuple(sorted(_links(o))) for o in permutations(range(n)))
     assert all(len(set(key)) == len(key) for key in counter)
     return tuple(sorted(counter.items()))
 
 
-def _check_bruteforce_len(n: int) -> None:
-    """Refuse a length the arrival-order enumeration cannot take."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+def _check_bruteforce_len(n: int) -> int:
+    """``n`` as a size, refused past what the arrival-order enumeration can take."""
+    n = _size(n, "word length")
     if n > _BRUTEFORCE_MAX_LEN:
         raise ValueError(f"length {n} exceeds the brute-force bound "
                          f"{_BRUTEFORCE_MAX_LEN}")
+    return n
 
 
 # bruteforce_sweep counts the positive words of one length in blocks of
@@ -742,7 +724,7 @@ def bruteforce_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     at most the enumeration bound.
     """
     import numpy as np
-    _check_bruteforce_len(max_len)
+    max_len = _check_bruteforce_len(max_len)
     q = g.vertex_count
     _check_bound(q, max_len)
     den = g._den
@@ -826,8 +808,7 @@ def recurrence_sweep(g: WeightedGraph, max_len: int) -> dict[int, tuple[np.ndarr
     bound.
     """
     import numpy as np
-    if max_len < 0:
-        raise ValueError("word length must be nonnegative")
+    max_len = _size(max_len, "word length")
     q = g.vertex_count
     _check_bound(q, max_len)
     out: dict[int, tuple[np.ndarray, int]] = {}

@@ -6,7 +6,9 @@ sweep bounds are defined in :mod:`insertproc.graphs` and
 :mod:`insertproc.buildings`), so the API and the CLI refuse the same
 inputs; the CLI turns a ``ValueError`` into exit status 2 and checks only
 what it owns itself, the window and count of its loop over the insertion
-sampler.
+sampler.  Every size, its own included, passes the one size check of
+:mod:`insertproc.graphs` and every vertex its one vertex check, which
+refuse bools, floats and sizes below their least with ``ValueError``.
 
 All commands read and write JSON; reports are deterministic functions of
 the flags (keys sorted, no timestamps), so identical invocations produce
@@ -28,7 +30,7 @@ from typing import Optional
 from .buildings import bruteforce_sweep, recurrence_sweep
 from .consistency import ConsistencyNotVerified, check_consistency
 from .dependence import check_k_dependence, min_k_search
-from .graphs import (WeightedGraph, classify_multipartite, complete_graph,
+from .graphs import (WeightedGraph, _size, classify_multipartite, complete_graph,
                      find_kite, graph_from_json_dict, graph_to_json_dict,
                      has_directed_triangle, is_strongly_connected, kite_graph,
                      regularity, triangles_per_edge, uniform_weight)
@@ -143,13 +145,11 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, str]:
         words = sample_exact(g, args.window, args.seed, args.count).words
     else:
         # this loop is the CLI's own, and so are the checks of its flags
-        if args.window < 1:
-            raise ValueError("--window must be at least 1")
-        if args.count < 0:
-            raise ValueError("--count must be nonnegative")
+        window = _size(args.window, "--window", 1)
+        count = _size(args.count, "--count")
         rng = random.Random(args.seed)
-        words = tuple(sample_insertion(g, args.window, rng.getrandbits(63))[0]
-                      for _ in range(args.count))
+        words = tuple(sample_insertion(g, window, rng.getrandbits(63))[0]
+                      for _ in range(count))
     lines = "\n".join(json.dumps(list(w)) for w in words)
     return 0, lines + ("\n" if lines else "")
 
@@ -189,10 +189,10 @@ def verify_identities(max_len: int = 5, seed: int = 20240801,
     ``max_len`` runs from 2 to 7, and ``threads``
     worker processes, at most one per graph, share the sweep.
     """
-    if not 2 <= max_len <= 7:
+    max_len = _size(max_len, "sweep length", 2)
+    if max_len > 7:
         raise ValueError("sweep length must be between 2 and 7")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    threads = _size(threads, "threads", 1)
     forms = short_word_closed_forms()
     closed = {str(n): reduced_count_symbolic(n) == forms[n] for n in (2, 3, 4)}
     graphs: list[tuple[str, dict]] = []

@@ -42,7 +42,7 @@ from typing import Optional
 
 from .buildings import (Word, reduced_count, _check_bound, _least_words,
                         _prefix_row, _scaled_reduced)
-from .graphs import WeightedGraph, complete_graph, uniform_weight
+from .graphs import WeightedGraph, _size, complete_graph, uniform_weight
 
 __all__ = [
     "ConsistencyCounterexample",
@@ -119,8 +119,7 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
     when ``q**max_len`` exceeds the enumeration bound, with ``q`` the
     vertex count of ``g``, not its class count.
     """
-    if max_len < 2:
-        raise ValueError("window bound must be at least 2")
+    max_len = _size(max_len, "window bound", 2)
     _check_bound(g.vertex_count, max_len)
     den2 = g._den * g._den
     num, into = g._num, g._in
@@ -165,10 +164,10 @@ def pair_power_sum(g: WeightedGraph, i: int, j: int, n: int) -> Fraction:
     Uses the convention ``0^0 = 1``, so for odd exponent splits the factor
     with exponent 0 never suppresses a term.
     """
+    i, j = g._vertex(i), g._vertex(j)
     if i == j:
         raise ValueError("the two vertices must be distinct")
-    if n < 1:
-        raise ValueError("the exponent index must be at least 1")
+    n = _size(n, "exponent index", 1)
     a = (n + 1) // 2
     b = n // 2
     total = Fraction(0)
@@ -191,8 +190,7 @@ def check_pair_power_invariance(
     same over all ordered pairs of distinct vertices, else ``(False,
     (n, reference_pair, offending_pair, reference_value, value))``.
     """
-    if max_n < 1:
-        raise ValueError("the window bound must be at least 1")
+    max_n = _size(max_n, "window bound", 1)
     if not g.is_loopless():
         raise ValueError("pair power sums require a loopless graph")
     n_v = g.vertex_count
@@ -224,8 +222,7 @@ def uniform_defect(q: int, w) -> Fraction:
     exactly when ``w = 1``.  The closed form is evaluated and, as a
     self-check, recomputed from the reduced counts directly.
     """
-    if q < 3:
-        raise ValueError("need at least three vertices")
+    q = _size(q, "vertex count", 3)
     wf = Fraction(w)
     if wf <= 0:
         raise ValueError("the uniform weight must be positive")
@@ -263,9 +260,8 @@ def kite_obstruction(g: WeightedGraph, kite: tuple[int, int, int, int]
     report = uniform_weight(g)
     if not report.is_uniform:
         raise ValueError("kite obstruction applies to uniform-weight graphs")
-    a, b, c, d = kite
-    verts = {a, b, c, d}
-    if len(verts) != 4 or not all(0 <= v < g.vertex_count for v in verts):
+    a, b, c, d = map(g._vertex, kite)
+    if len({a, b, c, d}) != 4:
         raise ValueError("kite must consist of four distinct vertices")
     if not (g.weight(a, b) > 0 and g.weight(b, c) > 0 and g.weight(a, c) > 0):
         raise ValueError(f"vertices {a}, {b}, {c} do not form a triangle")

@@ -58,7 +58,7 @@ from .buildings import (Word, building_count, _CHART_BOUND, _MIDDLE_BOUND,
                         _scaled_reduced, _walks)
 from .consistency import (ConsistencyNotVerified, ConsistencyReport,
                           check_consistency)
-from .graphs import WeightedGraph, has_directed_triangle
+from .graphs import WeightedGraph, _size, has_directed_triangle
 
 __all__ = [
     "DependenceCounterexample",
@@ -182,8 +182,7 @@ def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fra
     Refused when the chart's ``len(x) + len(y) + k*q`` states exceed the
     chart bound, before any table is allocated.
     """
-    if k < 0:
-        raise ValueError("gap length must be nonnegative")
+    k = _size(k, "gap length")
     xw = _as_word(g, x)
     yw = _as_word(g, y)
     for name, w in (("x", xw), ("y", yw)):
@@ -197,13 +196,14 @@ def gap_sum(g: WeightedGraph, x: Sequence[int], y: Sequence[int], k: int) -> Fra
     return Fraction(_gap_chart(g, xw, yw, k), g._den ** (2 * n_total - 2))
 
 
-def _check_window(g: WeightedGraph, max_left: int, max_right: int) -> int:
-    """Validate a window; returns the consistency window it needs."""
-    if max_left < 1 or max_right < 1:
-        raise ValueError("window bounds must be at least 1")
+def _check_window(g: WeightedGraph, max_left: int, max_right: int
+                  ) -> tuple[int, int, int]:
+    """Validate a window; returns its two sides and the consistency window it needs."""
+    max_left = _size(max_left, "left window bound", 1)
+    max_right = _size(max_right, "right window bound", 1)
     need = max(max_left, max_right) + 1
     _check_bound(g.vertex_count, need)
-    return need
+    return max_left, max_right, need
 
 
 def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
@@ -225,9 +225,8 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     enumeration bound or ``q**k`` the middle bound, with ``q`` the vertex
     count of ``g``, not its class count.
     """
-    if k < 0:
-        raise ValueError("gap length must be nonnegative")
-    need = _check_window(g, max_left, max_right)
+    k = _size(k, "gap length")
+    max_left, max_right, need = _check_window(g, max_left, max_right)
     _check_bound(g.vertex_count, k, _MIDDLE_BOUND, "gap enumeration")
     if consistency is None:
         consistency = check_consistency(g, need)
@@ -316,9 +315,8 @@ def min_k_search(g: WeightedGraph, max_k: int, max_left: int = 4,
     Consistency is verified once and its report passed to every gap, so a
     failure raises :class:`ConsistencyNotVerified` as that function does.
     """
-    if max_k < 0:
-        raise ValueError("gap bound must be nonnegative")
-    need = _check_window(g, max_left, max_right)
+    max_k = _size(max_k, "gap bound")
+    max_left, max_right, need = _check_window(g, max_left, max_right)
     _check_bound(g.vertex_count, max_k, _MIDDLE_BOUND, "gap enumeration")
     consistency = check_consistency(g, need)
     reports: dict[int, DependenceReport] = {}

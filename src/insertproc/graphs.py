@@ -11,6 +11,7 @@ assumptions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -48,10 +49,38 @@ __all__ = [
 
 
 def _integer(v) -> int:
-    """``v`` through ``operator.index``; a bool, an int subclass, raises ``TypeError``."""
-    if isinstance(v, bool):
+    """``v`` as a plain ``int``, through ``operator.index``; else ``TypeError``.
+
+    Numpy integers are taken as the ints they hold.  A bool would index as
+    0 or 1, so it raises, and so does a numpy bool: numpy is imported only
+    by the array sweeps, so such a value can only come from a caller that
+    imported numpy itself.
+    """
+    if type(v) is int:
+        return v
+    numpy = sys.modules.get("numpy")
+    if isinstance(v, bool) or numpy is not None and isinstance(v, numpy.bool_):
         raise TypeError
     return index(v)
+
+
+def _size(value, name: str, least: int = 0) -> int:
+    """``value`` as a plain ``int`` of at least ``least``; else ``ValueError``.
+
+    The one check of every length, gap, window, count and size the API
+    takes: bools, numpy bools, floats and other non-integers are refused,
+    numpy integers are taken as the ints they hold, so an accepted size
+    gives the output of the plain int.
+    """
+    try:
+        n = _integer(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is a {type(value).__name__}: "
+                         "lengths, counts and sizes must be integers") from None
+    if n < least:
+        raise ValueError(f"{name} must be nonnegative" if least == 0
+                         else f"{name} must be at least {least}")
+    return n
 
 
 def _as_weight(value: WeightLike) -> Union[int, Fraction]:
@@ -145,13 +174,10 @@ class WeightedGraph:
         enumeration bound.  The weights are placed as given and parsed by
         the constructor.
         """
-        if isinstance(vertex_count, bool):
-            raise ValueError(f"vertex count {vertex_count!r} is a bool")
-        if vertex_count < 1:
-            raise ValueError("graph needs at least one vertex")
+        vertex_count = _size(vertex_count, "vertex count", 1)
         # a sparse document of a few bytes may name any vertex count, so the
         # dense table is bounded before it is allocated
-        if index(vertex_count) ** 2 > _ENUMERATION_BOUND:
+        if vertex_count ** 2 > _ENUMERATION_BOUND:
             raise ValueError(f"weight table bound exceeded: {vertex_count}**2 > "
                              f"{_ENUMERATION_BOUND}")
         rows: list[list[WeightLike]] = [[0] * vertex_count
@@ -161,10 +187,7 @@ class WeightedGraph:
         seen = set()
         for (i, j), w in items:
             try:
-                # bools are an int subclass and would index as 0 and 1
-                if isinstance(i, bool) or isinstance(j, bool):
-                    raise TypeError
-                a, b = index(i), index(j)
+                a, b = _integer(i), _integer(j)
             except TypeError:
                 raise ValueError(
                     f"vertex pair ({i!r}, {j!r}) has non-integer vertices") from None
@@ -177,15 +200,19 @@ class WeightedGraph:
         return cls(rows)
 
     def _vertex(self, v) -> int:
-        """``v`` as a vertex index; bools would index as 0 and 1 and are refused."""
+        """``v`` as a vertex index, through :func:`_integer`; else ``ValueError``.
+
+        The one vertex check: every vertex and word symbol that a function
+        on a graph takes comes through here.
+        """
         try:
             i = _integer(v)
         except TypeError:
-            raise ValueError(
-                f"vertex {v!r} is not an integer: non-integer vertices are "
-                "refused") from None
+            raise ValueError(f"vertex {v!r} is a {type(v).__name__}: "
+                             "non-integer vertices are refused") from None
         if not 0 <= i < self.vertex_count:
-            raise ValueError(f"vertex {v!r} out of range")
+            raise ValueError(f"vertex {v!r} out of range: outside "
+                             f"0..{self.vertex_count - 1}")
         return i
 
     def weight(self, i: int, j: int) -> Fraction:
@@ -227,8 +254,7 @@ class WeightedGraph:
 
 def complete_graph(q: int, w: WeightLike = 1) -> WeightedGraph:
     """Complete graph on ``q`` vertices, every off-diagonal weight equal to ``w``."""
-    if q < 1:
-        raise ValueError("vertex count must be positive")
+    q = _size(q, "vertex count", 1)
     wf = _as_weight(w)
     if wf <= 0:
         raise ValueError("edge weight must be positive")
@@ -242,8 +268,7 @@ def multipartite_graph(q: int, r: int, w: WeightLike = 1) -> WeightedGraph:
     Vertices are ``0 .. q*r-1``; part membership is the residue mod ``q``,
     and the weight of ``(i, j)`` is ``w`` exactly when ``i % q != j % q``.
     """
-    if q < 1 or r < 1:
-        raise ValueError("part count and part size must be positive")
+    q, r = _size(q, "part count", 1), _size(r, "part size", 1)
     wf = _as_weight(w)
     if wf <= 0:
         raise ValueError("edge weight must be positive")
@@ -254,8 +279,7 @@ def multipartite_graph(q: int, r: int, w: WeightLike = 1) -> WeightedGraph:
 
 def path_graph(n: int) -> WeightedGraph:
     """Undirected path on ``n`` vertices with unit weights."""
-    if n < 1:
-        raise ValueError("vertex count must be positive")
+    n = _size(n, "vertex count", 1)
     pairs = {}
     for i in range(n - 1):
         pairs[(i, i + 1)] = 1
@@ -265,8 +289,7 @@ def path_graph(n: int) -> WeightedGraph:
 
 def cycle_graph(n: int) -> WeightedGraph:
     """Undirected cycle on ``n >= 3`` vertices with unit weights."""
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
+    n = _size(n, "vertex count", 3)
     pairs = {}
     for i in range(n):
         j = (i + 1) % n

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Sequence, Union
 
+from .graphs import _size
+
 Pair = tuple[Hashable, Hashable]
 Monomial = tuple[tuple[Pair, int], ...]
 Scalar = Union[int, Fraction]
@@ -213,7 +215,8 @@ def reduced_count_symbolic(n: int, distinct: bool = True) -> Polynomial:
     the word is a single symbol repeated ``n`` times, giving a univariate
     polynomial in the loop weight ``w(1, 1)``.
     """
-    if not (2 <= n <= 6):
+    n = _size(n, "word length", 2)
+    if n > 6:
         raise ValueError("symbolic closed forms are supported for lengths 2..6")
     pattern = tuple(range(1, n + 1)) if distinct else (1,) * n
     return reduced_count_pattern(pattern)

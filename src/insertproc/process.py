@@ -56,7 +56,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .buildings import Word, BuildOrder, _check_bound, _scaled_buildings
-from .graphs import WeightedGraph, _integer
+from .graphs import WeightedGraph, _integer, _size
 
 __all__ = [
     "Marginal",
@@ -112,19 +112,19 @@ class SampleBatch:
         return "\n".join(json.dumps(list(w)) for w in self.words)
 
 
-def _check_window(g: WeightedGraph, n: int) -> None:
-    if n < 1:
-        raise ValueError("window length must be at least 1")
+def _check_window(g: WeightedGraph, n: int) -> int:
+    n = _size(n, "window length", 1)
     _check_bound(g.vertex_count, n)
+    return n
 
 
 def _scaled_masses(g: WeightedGraph, n: int) -> dict[Word, int]:
     """Positive scaled building counts ``B * D^(2n-2)`` of the length-``n`` words.
 
     In lexicographic order; exactly the positive-weight words have
-    positive building count.  The window is checked first.
+    positive building count.  ``n`` is a window :func:`_check_window`
+    took.
     """
-    _check_window(g, n)
     masses = _scaled_buildings(g, n)
     if not masses:
         raise ValueError("no word of this length has positive building count")
@@ -136,6 +136,7 @@ def marginal(g: WeightedGraph, n: int) -> Marginal:
 
     Refused when ``q**n`` exceeds the enumeration bound.
     """
+    n = _check_window(g, n)
     masses = _scaled_masses(g, n)
     total = sum(masses.values())
     # many words share a mass, and a Fraction is immutable, so the table
@@ -154,7 +155,7 @@ def stationarity_check(g: WeightedGraph, n: int) -> tuple[bool, Fraction]:
     difference is ``|D T - M T'| / (T T')``, ``D`` a sum of ``M'``.
     Both windows are checked before either is swept.
     """
-    _check_window(g, n)
+    n = _check_window(g, n)
     _check_window(g, n + 1)
     masses = _scaled_masses(g, n)
     longer = _scaled_masses(g, n + 1)
@@ -193,9 +194,8 @@ def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch
     Refused, as :func:`marginal` is, when ``q**n`` exceeds the enumeration
     bound, also for an empty batch.
     """
-    if count < 0:
-        raise ValueError("sample count must be nonnegative")
-    _check_window(g, n)
+    count = _size(count, "sample count")
+    n = _check_window(g, n)
     if count == 0:
         return SampleBatch(g, n, seed, ())
     masses = _scaled_masses(g, n)
@@ -269,8 +269,7 @@ def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOr
     that gap's row (see the module docstring); an insertion splits one gap
     total into two.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    n = _size(n, "word length")
     rng = random.Random(seed)
     rows = _GapRows(g)
     end = g.vertex_count
@@ -309,8 +308,7 @@ def _law_pairs(g: WeightedGraph, n: int) -> dict[Word, tuple[int, int]]:
     step would be the lcm of their totals, which on tables whose totals
     vary outgrows the words' own denominators many times over.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    n = _size(n, "word length")
     _check_bound(g.vertex_count, n)
     rows = _GapRows(g)
     end = (g.vertex_count,)
@@ -361,6 +359,7 @@ def insertion_marginal_gap(g: WeightedGraph, n: int) -> Fraction:
     denominator ``b``.  The marginal's words outside the law add their
     ``M / (2 T)``, which is ``T`` less the masses met, over ``2 T``.
     """
+    n = _check_window(g, n)
     pairs = _law_pairs(g, n)
     masses = _scaled_masses(g, n)
     total = outside = sum(masses.values())
@@ -426,8 +425,7 @@ def empirical_gap_independence(batch: SampleBatch, gap: int) -> GapIndependenceR
     single-symbol marginals, a simple hypothesis, so the statistic is
     referred to chi-square with ``q*q - 1`` degrees of freedom.
     """
-    if gap < 0:
-        raise ValueError("gap must be nonnegative")
+    gap = _size(gap, "gap")
     if batch.length < gap + 2:
         raise ValueError(
             f"batch words of length {batch.length} are too short for gap {gap}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .buildings import Word
-from .graphs import WeightedGraph, _integer, has_directed_triangle
+from .graphs import WeightedGraph, _integer, _size, has_directed_triangle
 from .process import sample_exact
 
 __all__ = [
@@ -50,16 +50,8 @@ class ShiftOfFiniteType:
 
     def __post_init__(self):
         # numpy integers are stored as plain ints
-        try:
-            object.__setattr__(self, "q", _integer(self.q))
-            object.__setattr__(self, "n", _integer(self.n))
-        except TypeError:
-            raise ValueError(
-                "alphabet size and window length must be integers") from None
-        if self.q < 1:
-            raise ValueError("alphabet size must be positive")
-        if self.n < 1:
-            raise ValueError("window length must be positive")
+        object.__setattr__(self, "q", _size(self.q, "alphabet size", 1))
+        object.__setattr__(self, "n", _size(self.n, "window length", 1))
         windows = []
         for t in map(tuple, self.allowed):
             if len(t) != self.n:
@@ -69,7 +61,8 @@ class ShiftOfFiniteType:
             try:
                 t = tuple(map(_integer, t))
             except TypeError:
-                raise ValueError(f"window {t!r} has non-integer symbols") from None
+                raise ValueError(f"window {t!r} has non-integer symbols: "
+                                 "symbols must be ints, not bools") from None
             if not all(0 <= s < self.q for s in t):
                 raise ValueError(f"window {t!r} has symbols outside the alphabet")
             if len(set(t)) == 1:
@@ -89,8 +82,7 @@ class ShiftOfFiniteType:
 
 def proper_coloring_windows(q: int) -> ShiftOfFiniteType:
     """The shift of proper ``q``-colorings: adjacent symbols differ."""
-    if q < 2:
-        raise ValueError("proper colorings need at least two symbols")
+    q = _size(q, "alphabet size", 2)
     return ShiftOfFiniteType.from_windows(
         q, [(a, b) for a in range(q) for b in range(q) if a != b])
 
@@ -196,6 +188,7 @@ def sample_sft(s: ShiftOfFiniteType, window: int, seed: int,
     graph and stitches them; requires the extension-count condition with
     ``K >= 1`` so that the marginals exist.
     """
+    window = _size(window, "window length", 1)
     report = check_lr(s)
     if not report.is_constant:
         raise ValueError(

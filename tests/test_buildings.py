@@ -755,7 +755,8 @@ def _consistency_reference(g, max_len):
     """``check_consistency`` over every class word, as before the orbit walk."""
     den2 = g._den * g._den
     orbits = _orbits(g)
-    reps, size, out, into = orbits.reps, orbits.size, orbits.out, orbits.into
+    reps, size, out = orbits.reps, orbits.size, orbits.out
+    into = [[v for v in col if size[v]] for col in g._in]
     right_links = [[w * s for w, s in zip(row, size)] for row in g._num]
     left_links = [[s * w for w in row] for row, s in zip(g._num, size)]
     constants = {}

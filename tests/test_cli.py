@@ -235,6 +235,14 @@ _BOUND_CASES = [
      lambda g: check_consistency(g, 12), True),
     (["check-c", "--graph", "K4", "--max-n", "3"],
      lambda g: check_consistency(g, 3), False),
+    (["check-c", "--graph", "K4", "--max-n", "1"],
+     lambda g: check_consistency(g, 1), True),
+    (["check-c", "--graph", "K4", "--max-n", "2"],
+     lambda g: check_consistency(g, 2), False),
+    (["check-kdep", "--graph", "K4", "--k", "-1", "--max-n", "2", "--max-m", "2"],
+     lambda g: check_k_dependence(g, -1, 2, 2), True),
+    (["check-kdep", "--graph", "K4", "--k", "0", "--max-n", "2", "--max-m", "2"],
+     lambda g: check_k_dependence(g, 0, 2, 2), False),
     (["check-kdep", "--graph", "K4", "--k", "1", "--max-n", "11", "--max-m", "1"],
      lambda g: check_k_dependence(g, 1, 11, 1), True),
     (["check-kdep", "--graph", "K4", "--k", "9"],
@@ -247,12 +255,20 @@ _BOUND_CASES = [
      lambda g: min_k_search(g, 9), True),
     (["min-k", "--graph", "K4", "--max-k", "1", "--max-n", "2", "--max-m", "2"],
      lambda g: min_k_search(g, 1, 2, 2), False),
+    (["min-k", "--graph", "K4", "--max-k", "-1", "--max-n", "2", "--max-m", "2"],
+     lambda g: min_k_search(g, -1, 2, 2), True),
+    (["min-k", "--graph", "K4", "--max-k", "0", "--max-n", "2", "--max-m", "2"],
+     lambda g: min_k_search(g, 0, 2, 2), False),
     (["sample", "--graph", "K4", "--window", "12"],
      lambda g: marginal(g, 12), True),
     (["sample", "--graph", "K4", "--window", "12", "--count", "0"],
      lambda g: sample_exact(g, 12, 0, 0), True),
     (["sample", "--graph", "K4", "--window", "3", "--count", "5"],
      lambda g: sample_exact(g, 3, 0, 5), False),
+    (["sample", "--graph", "K4", "--window", "3", "--count", "-1"],
+     lambda g: sample_exact(g, 3, 0, -1), True),
+    (["sample", "--graph", "K4", "--window", "3", "--count", "0"],
+     lambda g: sample_exact(g, 3, 0, 0), False),
     (["verify-identities", "--max-n", "8"],
      lambda g: cli.verify_identities(max_len=8), True),
     (["verify-identities", "--max-n", "3", "--threads", "0"],

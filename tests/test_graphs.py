@@ -9,12 +9,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from insertproc import (WeightedGraph, block_projection,
-                        classify_multipartite, complete_graph, cycle_graph,
-                        find_kite, graph_from_json_dict, graph_to_json_dict,
-                        has_directed_triangle, is_strongly_connected,
-                        kite_graph, multipartite_graph, path_graph, regularity,
-                        triangles_per_edge, uniform_weight)
+from insertproc import (ShiftOfFiniteType, WeightedGraph, block_projection,
+                        bruteforce_sweep, building_count, check_consistency,
+                        check_k_dependence, check_pair_power_invariance,
+                        classify_multipartite, complete_graph,
+                        constraint_edge_classes, constraint_graph, cycle_graph,
+                        empirical_gap_independence, find_kite, gap_sum,
+                        graph_from_json_dict, graph_to_json_dict,
+                        has_directed_triangle, insertion_law,
+                        insertion_marginal_gap, is_strongly_connected,
+                        kite_graph, marginal, min_k_search, multipartite_graph,
+                        pair_power_sum, path_graph, positive_words,
+                        proper_coloring_windows, recurrence_sweep,
+                        reduced_count_symbolic, regularity, sample_exact,
+                        sample_insertion, sample_sft, stationarity_check,
+                        triangles_per_edge, uniform_defect, uniform_weight)
+from insertproc.cli import verify_identities
 from insertproc.fixtures import GRAPH_FIXTURES, fixture_text, load_graph_fixture
 from insertproc.graphs import _candidates, _completions
 
@@ -506,6 +516,102 @@ def test_from_weights_rejects_bool_vertex_count():
     for count in (True, False):
         with pytest.raises(ValueError, match="bool"):
             WeightedGraph.from_weights(count, {})
+
+
+K3 = complete_graph(3)
+_BATCH = sample_exact(K3, 3, 0, 20)
+
+# (entry point, a call taking the size, the least size, a valid size); the
+# sizes of every module's public functions go through graphs._size
+_SIZES = [
+    ("complete_graph", lambda n: complete_graph(n), 1, 3),
+    ("multipartite_graph parts", lambda n: multipartite_graph(n, 2), 1, 2),
+    ("multipartite_graph size", lambda n: multipartite_graph(2, n), 1, 2),
+    ("path_graph", lambda n: path_graph(n), 1, 3),
+    ("cycle_graph", lambda n: cycle_graph(n), 3, 4),
+    ("from_weights", lambda n: WeightedGraph.from_weights(n, {}), 1, 2),
+    ("positive_words", lambda n: list(positive_words(K3, n)), 0, 2),
+    ("constraint_edge_classes", lambda n: constraint_edge_classes(n), 0, 3),
+    ("bruteforce_sweep", lambda n: bruteforce_sweep(K3, n), 0, 3),
+    ("recurrence_sweep", lambda n: recurrence_sweep(K3, n), 0, 3),
+    ("check_consistency", lambda n: check_consistency(K3, n), 2, 3),
+    ("pair_power_sum", lambda n: pair_power_sum(K3, 0, 1, n), 1, 3),
+    ("check_pair_power_invariance",
+     lambda n: check_pair_power_invariance(K3, n), 1, 3),
+    ("uniform_defect", lambda n: uniform_defect(n, 2), 3, 4),
+    ("gap_sum", lambda n: gap_sum(K3, (0,), (1,), n), 0, 1),
+    ("check_k_dependence k", lambda n: check_k_dependence(K3, n, 2, 2), 0, 1),
+    ("check_k_dependence left",
+     lambda n: check_k_dependence(K3, 1, n, 2), 1, 2),
+    ("check_k_dependence right",
+     lambda n: check_k_dependence(K3, 1, 2, n), 1, 2),
+    ("min_k_search", lambda n: min_k_search(K3, n, 2, 2), 0, 2),
+    ("marginal", lambda n: marginal(K3, n), 1, 3),
+    ("stationarity_check", lambda n: stationarity_check(K3, n), 1, 2),
+    ("sample_exact window", lambda n: sample_exact(K3, n, 0, 5), 1, 3),
+    ("sample_exact count", lambda n: sample_exact(K3, 3, 0, n), 0, 5),
+    ("sample_insertion", lambda n: sample_insertion(K3, n, 0), 0, 4),
+    ("insertion_law", lambda n: insertion_law(K3, n), 0, 3),
+    ("insertion_marginal_gap", lambda n: insertion_marginal_gap(K3, n), 1, 3),
+    ("empirical_gap_independence",
+     lambda n: empirical_gap_independence(_BATCH, n), 0, 1),
+    ("ShiftOfFiniteType q",
+     lambda n: ShiftOfFiniteType(n, 2, [(0, 1), (1, 0)]), 1, 2),
+    ("ShiftOfFiniteType n",
+     lambda n: ShiftOfFiniteType(2, n, [(0, 1)]), 1, 2),
+    ("proper_coloring_windows", lambda n: proper_coloring_windows(n), 2, 3),
+    ("sample_sft window",
+     lambda n: sample_sft(proper_coloring_windows(3), n, 0, 4), 1, 3),
+    ("sample_sft count",
+     lambda n: sample_sft(proper_coloring_windows(3), 3, 0, n), 0, 4),
+    ("reduced_count_symbolic", lambda n: reduced_count_symbolic(n), 2, 3),
+    ("verify_identities max_len", lambda n: verify_identities(max_len=n), 2, 3),
+    ("verify_identities threads",
+     lambda n: verify_identities(max_len=2, threads=n), 1, 1),
+]
+
+
+@pytest.mark.parametrize("call, least, valid", [case[1:] for case in _SIZES],
+                         ids=[case[0] for case in _SIZES])
+def test_every_size_is_one_check(call, least, valid):
+    # True would count as 1, and a float exponent would give a float
+    # result where every verification path is exact
+    for bad in (True, False, np.True_, float(valid), valid + 0.5, "2",
+                least - 1):
+        with pytest.raises(ValueError):
+            call(bad)
+    # the output, as repr shows it, is the plain int's: no numpy scalar
+    # is stored in a report
+    assert repr(call(np.int64(valid))) == repr(call(valid))
+    assert repr(call(np.uint8(valid))) == repr(call(valid))
+
+
+def test_numpy_bools_are_not_vertices():
+    sink = WeightedGraph.from_weights(2, {(1, 0): 1})
+    for call in (lambda: K3.weight(np.True_, 0),
+                 lambda: K3.weight(0, np.False_),
+                 lambda: K3.out_neighbors(np.True_),
+                 lambda: building_count(K3, (0, np.True_)),
+                 lambda: gap_sum(K3, (0,), (np.True_,), 1),
+                 lambda: ShiftOfFiniteType(2, 2, [(np.True_, 0), (0, 1)])):
+        with pytest.raises(ValueError, match="bool"):
+            call()
+    with pytest.raises(ValueError, match="non-integer"):
+        marginal(K3, 2).probability((np.True_, 0))
+    # an arrival order's positions are integers too; (True, 0) would link
+    # position 0 to position True
+    for order in ((True, 0), (1.0, 0), (np.True_, 0)):
+        with pytest.raises(ValueError, match="non-integer"):
+            constraint_graph(K3, (0, 1), order)
+    assert (constraint_graph(K3, (0, 1), (np.int64(1), 0))
+            == constraint_graph(K3, (0, 1), (1, 0)))
+    # vertex 0 of the sink graph has no out-edge, so j must be checked
+    # before the sum over out-edges
+    for i, j in ((0, 99), (99, 0), (0, True), (0, 1.0)):
+        with pytest.raises(ValueError, match="vertex"):
+            pair_power_sum(sink, i, j, 2)
+    with pytest.raises(ValueError):
+        pair_power_sum(K3, 0, 1, 2.5)
 
 
 def test_from_weights_accepts_numpy_indices():
