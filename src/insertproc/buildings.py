@@ -86,10 +86,9 @@ from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial, prod
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
-from .graphs import (_ENUMERATION_BOUND, WeightedGraph, _candidates,
-                     _completions, _integer, _size)
+from .graphs import _ENUMERATION_BOUND, WeightedGraph, _integer, _size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -304,6 +303,75 @@ def _scaled_building(g: WeightedGraph, w: Word) -> int:
 _GROUP_CLASS_BOUND = 10
 
 
+def _candidates(num: Sequence[Sequence[int]],
+                colors: Optional[Sequence[int]] = None
+                ) -> list[tuple[int, ...]]:
+    """For each index, in increasing order, the indices a table automorphism may map it to.
+
+    Those are the indices with the same color, diagonal entry, sorted row
+    and sorted column.
+    """
+    n = len(num)
+    sig = []
+    for i in range(n):
+        row = tuple(sorted(num[i]))
+        col = tuple(sorted(num[j][i] for j in range(n)))
+        sig.append((colors[i] if colors else 0, num[i][i], row, col))
+    return [tuple(u for u in range(n) if sig[u] == sig[k]) for k in range(n)]
+
+
+def _completions(num: Sequence[Sequence[int]],
+                 candidates: Sequence[Sequence[int]],
+                 fixed: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
+    """The permutations that keep every entry of ``num`` and extend ``fixed``.
+
+    ``fixed`` maps some indices to their images, and every other index
+    ``k`` is mapped to one of ``candidates[k]`` (see :func:`_candidates`)
+    by backtracking in index order, so the permutations come in
+    lexicographic order for an empty ``fixed``, and the first is the least
+    permutation that extends ``fixed``; one that extends nothing yields
+    nothing.  Taking only the first decides whether ``fixed`` extends.
+
+    The search recurses once per free index, so it is never deeper than
+    the table is wide, and its one caller, :class:`_Orbits`, searches
+    only class tables of at most ``_GROUP_CLASS_BOUND`` rows.
+    """
+    n = len(num)
+    assign = [-1] * n
+    used = [False] * n
+    placed: list[int] = []
+
+    def fits(k: int, u: int) -> bool:
+        """Whether ``k -> u`` keeps every entry with the images placed so far."""
+        return all(num[k][j] == num[u][assign[j]]
+                   and num[j][k] == num[assign[j]][u] for j in placed)
+
+    for k, u in fixed.items():
+        if used[u] or u not in candidates[k] or not fits(k, u):
+            return
+        assign[k] = u
+        used[u] = True
+        placed.append(k)
+    free = [k for k in range(n) if assign[k] < 0]
+
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        """The completions of the images placed, from free index ``i`` on."""
+        if i == len(free):
+            yield tuple(assign)
+            return
+        k = free[i]
+        for u in candidates[k]:
+            if not used[u] and fits(k, u):
+                assign[k] = u
+                used[u] = True
+                placed.append(k)
+                yield from place(i + 1)
+                used[u] = False
+                placed.pop()
+
+    yield from place(0)
+
+
 class _Orbits:
     """The twin quotient of a graph, and orbit-least steps under its symmetries.
 
@@ -311,8 +379,11 @@ class _Orbits:
     in increasing order, so the class order is the vertex order;
     ``size[v]`` is the size of ``v``'s class when ``v`` is a
     representative and 0 otherwise; ``out`` holds the positive adjacency
-    rows with only representatives kept.  A graph without twins
-    is its own quotient, every size 1.
+    rows with only representatives kept; ``links[a][b]`` is the weight
+    of ``a b`` times the size of ``b``'s class, so that a position walked
+    over representatives stands for every vertex of its class.  A graph
+    without twins is its own quotient, every size 1, and its ``links``
+    are its weights.
 
     The symmetries are the relabelings of the twin class graph that keep
     every weight and class size.  Each lifts to a weight-preserving
@@ -321,16 +392,15 @@ class _Orbits:
     image of itself under the maps that fix every symbol before it, and
     those maps depend only on the set of classes fixed, a bit mask here.
     The group is never listed: :meth:`step` finds one least image by
-    search (:func:`insertproc.graphs._completions`) and keeps it in
-    ``steps``, so each step is searched once per graph; :func:`_chains`
-    takes the steps of every walk.  A fixed set is
-    carried as ``None`` once only the identity fixes it, and :attr:`root`
-    is ``None`` when the group is the identity alone; the group is first
-    looked at when :attr:`root` is first read.
+    search (:func:`_completions`) and keeps it in ``steps``, so each step
+    is searched once per graph; :func:`_chains` takes the steps of every
+    walk.  A fixed set is carried as ``None`` once only the identity
+    fixes it, and :attr:`root` is ``None`` when the group is the identity
+    alone; the group is first looked at when :attr:`root` is first read.
     """
 
-    __slots__ = ("reps", "size", "out", "steps", "_index", "_table",
-                 "_candidates", "_moving")
+    __slots__ = ("reps", "size", "out", "links", "steps", "_index",
+                 "_table", "_candidates", "_moving")
 
     def __init__(self, g: WeightedGraph):
         q, twin, num = g.vertex_count, g._twin, g._num
@@ -338,7 +408,7 @@ class _Orbits:
         self._moving: dict[int, bool] = {}
         if twin is None:
             self.reps, self.size, self.out = range(q), (1,) * q, g._out
-            self._table = num
+            self.links = self._table = num
             return
         size = [0] * q
         for c in twin:
@@ -346,9 +416,8 @@ class _Orbits:
         reps = self.reps = tuple(v for v in range(q) if size[v])
         self.size = tuple(size)
         self.out = tuple(tuple(v for v in row if size[v]) for row in g._out)
-        # the class table; past the class bound it is never searched
-        self._table = (num if len(reps) > _GROUP_CLASS_BOUND
-                       else [[num[a][b] for b in reps] for a in reps])
+        self.links = [[w * s for w, s in zip(row, size)] for row in num]
+        self._table = [[num[a][b] for b in reps] for a in reps]
 
     @property
     def root(self) -> Optional[int]:

@@ -122,7 +122,7 @@ class DependenceReport:
         }
 
 
-def _middles(orbits: _Orbits, links: Sequence[Sequence[int]], x: Word,
+def _middles(orbits: _Orbits, x: Word,
              k: int) -> list[tuple[Word, int, int, Optional[Sequence[int]]]]:
     """``(x c, weight, last, pi)`` for each class middle ``W`` of length ``k``.
 
@@ -130,12 +130,12 @@ def _middles(orbits: _Orbits, links: Sequence[Sequence[int]], x: Word,
     word ``x``, walked by :func:`insertproc.buildings._chains` under the
     maps that fix every class of ``x``.  ``weight`` multiplies the links
     from ``x[-1]`` through ``W``, each times the size of the class it
-    enters (``links``), and ``last`` is the symbol before the right word.
-    ``pi`` (``None`` for the identity) takes ``W`` to ``c``, the least
-    middle of its orbit under those maps.  A symmetry keeps every count,
-    so ``R(x W y) = R(x c pi(y))``: a whole orbit of middles reads the
-    rows of one ``x c``, and every sum is the same as over the rows of
-    ``x W``.
+    enters (``orbits.links``), and ``last`` is the symbol before the
+    right word.  ``pi`` (``None`` for the identity) takes ``W`` to ``c``,
+    the least middle of its orbit under those maps.  A symmetry keeps
+    every count, so ``R(x W y) = R(x c pi(y))``: a whole orbit of middles
+    reads the rows of one ``x c``, and every sum is the same as over the
+    rows of ``x W``.
     """
     steps, step = orbits.steps, orbits.step
     fixed = orbits.root
@@ -143,7 +143,7 @@ def _middles(orbits: _Orbits, links: Sequence[Sequence[int]], x: Word,
         if fixed is None:
             break
         fixed = (steps.get((fixed, b)) or step(fixed, b))[2]
-    a = x[-1]
+    a, links = x[-1], orbits.links
     return [(x + c, weight, w[-1] if k else a, pi) for w, weight, c, pi in
             _chains(orbits, orbits.out, links, k, orbits.out[a], links[a],
                     fixed, None)]
@@ -240,10 +240,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             f"consistency verified only to {consistency.max_len}, need {need}")
 
     orbits = _orbits(g)
-    reps, size, out = orbits.reps, orbits.size, orbits.out
-    # a free position ranges over class representatives, each standing for
-    # the vertices of its class
-    links = [[w * s for w, s in zip(row, size)] for row in g._num]
+    reps, out = orbits.reps, orbits.out
     den = g._den
 
     @cache
@@ -253,15 +250,15 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
     constants: dict[tuple[int, int], Fraction] = {}
     scale_c = den ** (2 * k + 2)
 
+    # no cell lacks words: cell (1, 1) has every vertex, and a cell passes
+    # only with a positive stitched word of length n + k + m, whose
+    # prefixes are positive words of every shorter length, which covers
+    # the next row and the next column
     for n in range(1, max_left + 1):
         # the least class word is the least of its orbit
         x_reps = list(_least_words(g, n))
-        if not x_reps:
-            continue
         for m in range(1, max_right + 1):
             ys = words_of(m)
-            if not ys:
-                continue
             x0, y0 = x_reps[0], ys[0]
             lhs0 = _gap_chart(g, x0, y0, k)
             b_x0 = _scaled_building(g, x0)
@@ -277,7 +274,7 @@ def check_k_dependence(g: WeightedGraph, k: int, max_left: int = 4,
             anchor = b_x0 * b_y0
             r_ys = [_scaled_reduced(g, y) for y in ys]
             for x in x_reps:
-                terms = _middles(orbits, links, x, k)
+                terms = _middles(orbits, x, k)
                 rhs_factor = lhs0 * _scaled_reduced(g, x)
                 for y, r_y in zip(ys, r_ys):
                     if _reduced_gap_sum(g, terms, y) * anchor == rhs_factor * r_y:

@@ -520,78 +520,6 @@ def block_projection(g: WeightedGraph, classification: MultipartiteClassificatio
     return tuple(out)
 
 
-def _candidates(num: Sequence[Sequence[int]],
-                colors: Optional[Sequence[int]] = None
-                ) -> list[tuple[int, ...]]:
-    """For each index, in increasing order, the indices a table automorphism may map it to.
-
-    Those are the indices with the same color, diagonal entry, sorted row
-    and sorted column.
-    """
-    n = len(num)
-    sig = []
-    for i in range(n):
-        row = tuple(sorted(num[i]))
-        col = tuple(sorted(num[j][i] for j in range(n)))
-        sig.append((colors[i] if colors else 0, num[i][i], row, col))
-    return [tuple(u for u in range(n) if sig[u] == sig[k]) for k in range(n)]
-
-
-def _completions(num: Sequence[Sequence[int]],
-                 candidates: Sequence[Sequence[int]],
-                 fixed: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
-    """The permutations that keep every entry of ``num`` and extend ``fixed``.
-
-    ``fixed`` maps some indices to their images, and every other index
-    ``k`` is mapped to one of ``candidates[k]`` (see :func:`_candidates`)
-    by backtracking in index order, so the permutations come in
-    lexicographic order for an empty ``fixed``.  Taking only the first
-    decides whether ``fixed`` extends at all.
-    """
-    n = len(num)
-    assign = [-1] * n
-    used = [False] * n
-    placed: list[int] = []
-
-    def fits(k: int, u: int) -> bool:
-        """Whether ``k -> u`` keeps every entry with the images placed so far."""
-        return all(num[k][j] == num[u][assign[j]]
-                   and num[j][k] == num[assign[j]][u] for j in placed)
-
-    for k, u in fixed.items():
-        if used[u] or u not in candidates[k] or not fits(k, u):
-            return
-        assign[k] = u
-        used[u] = True
-        placed.append(k)
-    free = [k for k in range(n) if assign[k] < 0]
-    if not free:
-        yield tuple(assign)
-        return
-    # one iterator of images per free index reached, so no size recurses
-    stack = [iter(candidates[free[0]])]
-    while stack:
-        k = free[len(stack) - 1]
-        if assign[k] >= 0:
-            used[assign[k]] = False
-            assign[k] = -1
-            placed.pop()
-        for u in stack[-1]:
-            if not used[u] and fits(k, u):
-                assign[k] = u
-                used[u] = True
-                placed.append(k)
-                if len(stack) < len(free):
-                    stack.append(iter(candidates[free[len(stack)]]))
-                    break
-                yield tuple(assign)
-                used[u] = False
-                assign[k] = -1
-                placed.pop()
-        else:
-            stack.pop()
-
-
 def _weight_str(w: Fraction) -> str:
     return f"{w.numerator}/{w.denominator}"
 
@@ -609,7 +537,8 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
     """Parse the JSON graph format.
 
     Only the document's shape and its JSON-specific weight types are
-    checked here; indices and weights are validated by
+    checked here; the vertex count (a JSON ``true`` loads as a bool and is
+    refused), indices and weights are validated by
     :meth:`WeightedGraph.from_weights` and the constructor.
     """
     if not isinstance(data, dict):
@@ -619,9 +548,6 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         entries = data["weights"]
     except (KeyError, TypeError) as exc:
         raise ValueError("graph document needs 'vertices' and 'weights'") from exc
-    # JSON true and false load as bools, an int subclass; type() tells them apart
-    if type(n) is not int or n < 1:
-        raise ValueError("'vertices' must be a positive integer")
     if not isinstance(entries, list):
         raise ValueError("'weights' must be a list of [i, j, weight] triples")
     for entry in entries:

@@ -22,13 +22,13 @@ from insertproc import (WeightedGraph, building_count,
 from insertproc import buildings, dependence
 from insertproc.consistency import (ConsistencyCounterexample,
                                     ConsistencyReport)
-from insertproc.buildings import (_chains, _fill_row, _interval_scaled,
-                                  _least_words, _orbits, _prefix_row,
-                                  _scaled_building, _scaled_buildings,
-                                  _scaled_reduced, _walks, bruteforce_sweep,
-                                  constraint_edge_classes, recurrence_sweep)
+from insertproc.buildings import (_candidates, _chains, _completions,
+                                  _fill_row, _interval_scaled, _least_words,
+                                  _orbits, _prefix_row, _scaled_building,
+                                  _scaled_buildings, _scaled_reduced, _walks,
+                                  bruteforce_sweep, constraint_edge_classes,
+                                  recurrence_sweep)
 from insertproc.fixtures import GRAPH_FIXTURES
-from insertproc.graphs import _candidates, _completions
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -841,14 +841,13 @@ def test_middle_sums_match_the_walk_over_every_middle():
     for g in _verifier_cases():
         orbits = _orbits(g)
         classes = len(orbits.reps)
-        links = [[w * s for w, s in zip(row, orbits.size)] for row in g._num]
         ys = [y for m in (1, 2, 3) for y in _walks(orbits.out, m, orbits.reps)]
         for k in range(4):
             for n in (1, 2, 3):
                 if classes ** (n + k + 3) > 20_000:
                     break
                 for x in _least_words(g, n):
-                    terms = dependence._middles(orbits, links, x, k)
+                    terms = dependence._middles(orbits, x, k)
                     for y in ys:
                         assert dependence._reduced_gap_sum(g, terms, y) == (
                             _middle_sum_reference(g, x, y, k)), (g, x, y, k)

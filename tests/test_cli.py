@@ -47,6 +47,21 @@ def test_python_dash_m_runs_the_command(fixture_dir, capsys, monkeypatch,
     assert (done.returncode, done.stdout) == (code, want)
 
 
+def test_the_verifiers_import_no_numpy():
+    # numpy is imported only by the array sweeps: _integer's numpy-bool
+    # check reads it from sys.modules, and a verifier run pays no import
+    code = ("import sys, insertproc\n"
+            "from insertproc.fixtures import load_graph_fixture\n"
+            "g = load_graph_fixture('k4')\n"
+            "assert insertproc.check_consistency(g, 4).verified\n"
+            "assert insertproc.check_k_dependence(g, 1, 3, 3).verified\n"
+            "print('numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def test_fixture_registry_complete():
     names = fixture_names()
     for expected in ("k2", "k3", "k4", "k5", "k6", "k22", "k222", "k2222",
@@ -438,6 +453,30 @@ def test_verify_identities_command(capsys):
     assert report["all_passed"] is True
     assert report["closed_forms"] == {"2": True, "3": True, "4": True}
     assert all(s["ok"] for s in report["sweeps"])
+
+
+def test_verify_identities_reports_a_sweep_mismatch(monkeypatch, capsys):
+    # one value off on the brute-force route fails that graph's sweep, the
+    # report and the command
+    sweep = cli.bruteforce_sweep
+
+    def perturbed(g, max_len):
+        sweeps = sweep(g, max_len)
+        if g == kite_graph():
+            values, scale = sweeps[max_len]
+            values = values.copy()
+            values[-1] += 1
+            sweeps[max_len] = values, scale
+        return sweeps
+
+    monkeypatch.setattr(cli, "bruteforce_sweep", perturbed)
+    report = cli.verify_identities(max_len=3)
+    ok = [s["ok"] for s in report["sweeps"]]
+    assert ok == [True, True, False] + [True] * 5
+    assert report["all_passed"] is False
+    code, out = run_cli(["verify-identities", "--max-n", "3"], capsys)
+    assert code == 1
+    assert json.loads(out)["all_passed"] is False
 
 
 def test_verify_identities_threads(capsys):

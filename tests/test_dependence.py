@@ -10,10 +10,10 @@ import pytest
 
 from insertproc import dependence
 from insertproc import (ConsistencyNotVerified, ConsistencyReport,
-                        WeightedGraph, building_count, check_k_dependence,
-                        complete_graph, cycle_graph, gap_sum, kite_graph,
-                        min_k_search, multipartite_graph, positive_words,
-                        proper_coloring_windows, de_bruijn,
+                        WeightedGraph, building_count, check_consistency,
+                        check_k_dependence, complete_graph, cycle_graph,
+                        gap_sum, kite_graph, min_k_search, multipartite_graph,
+                        positive_words, proper_coloring_windows, de_bruijn,
                         triangle_necessity, word_weight)
 from insertproc.buildings import (_least_words, _scaled_building,
                                   _scaled_reduced)
@@ -316,6 +316,15 @@ def test_consistency_precondition_enforced():
         check_k_dependence(kite_graph(), 1, 3, 3)
     with pytest.raises(ConsistencyNotVerified):
         check_k_dependence(complete_graph(3, 2), 1, 3, 3)
+
+
+def test_short_consistency_report_is_refused():
+    # a verified report must reach max(max_left, max_right) + 1
+    report = check_consistency(K4, 3)
+    assert report.verified
+    with pytest.raises(ValueError,
+                       match="consistency verified only to 3, need 5"):
+        check_k_dependence(K4, 1, 4, 4, consistency=report)
 
 
 def test_multipartite_transfer():

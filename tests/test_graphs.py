@@ -24,9 +24,9 @@ from insertproc import (ShiftOfFiniteType, WeightedGraph, block_projection,
                         reduced_count_symbolic, regularity, sample_exact,
                         sample_insertion, sample_sft, stationarity_check,
                         triangles_per_edge, uniform_defect, uniform_weight)
+from insertproc.buildings import _candidates, _completions
 from insertproc.cli import verify_identities
 from insertproc.fixtures import GRAPH_FIXTURES, fixture_text, load_graph_fixture
-from insertproc.graphs import _candidates, _completions
 
 
 def _automorphisms(num, colors=None):
@@ -460,7 +460,7 @@ def test_json_errors():
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"vertices": True, "weights": []}, "positive integer"),
+    ({"vertices": True, "weights": []}, "bool"),
     ({"vertices": 2, "weights": [[False, 1, "1"]]}, "non-integer vertices"),
     ({"vertices": 2, "weights": [[0, True, "1"]]}, "non-integer vertices"),
     ({"vertices": 2, "weights": [[0, 1, True]]}, "bool"),
