@@ -5,10 +5,11 @@ checks and resource bounds belong to the library functions it calls (the
 sweep bounds are defined in :mod:`insertproc.graphs` and
 :mod:`insertproc.buildings`), so the API and the CLI refuse the same
 inputs; the CLI turns a ``ValueError`` into exit status 2 and checks only
-what it owns itself, the window and count of its loop over the insertion
-sampler.  Every size, its own included, passes the one size check of
-:mod:`insertproc.graphs` and every vertex its one vertex check, which
-refuse bools, floats and sizes below their least with ``ValueError``.
+what it owns itself, the window, count and seed of its loop over the
+insertion sampler.  Every size, its own included, passes the one size
+check of :mod:`insertproc.graphs` and every vertex its one vertex check,
+which refuse bools, floats and sizes below their least with
+``ValueError``.
 
 All commands read and write JSON; reports are deterministic functions of
 the flags (keys sorted, no timestamps), so identical invocations produce
@@ -24,7 +25,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Optional
 
 from .buildings import bruteforce_sweep, recurrence_sweep
@@ -147,7 +147,7 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[int, str]:
         # this loop is the CLI's own, and so are the checks of its flags
         window = _size(args.window, "--window", 1)
         count = _size(args.count, "--count")
-        rng = random.Random(args.seed)
+        rng = random.Random(_size(args.seed, "--seed"))
         words = tuple(sample_insertion(g, window, rng.getrandbits(63))[0]
                       for _ in range(count))
     lines = "\n".join(json.dumps(list(w)) for w in words)
@@ -192,6 +192,7 @@ def verify_identities(max_len: int = 5, seed: int = 20240801,
     max_len = _size(max_len, "sweep length", 2)
     if max_len > 7:
         raise ValueError("sweep length must be between 2 and 7")
+    seed = _size(seed, "seed")
     threads = _size(threads, "threads", 1)
     forms = short_word_closed_forms()
     closed = {str(n): reduced_count_symbolic(n) == forms[n] for n in (2, 3, 4)}
@@ -209,6 +210,8 @@ def verify_identities(max_len: int = 5, seed: int = 20240801,
         graphs.append((f"random{i}", graph_to_json_dict(WeightedGraph(rows))))
     jobs = [(name, data, max_len) for name, data in graphs]
     if threads > 1:
+        # imported here, so that no other command pays for the import
+        from multiprocessing import Pool
         with Pool(processes=min(threads, len(jobs))) as pool:
             sweep_results = pool.map(_sweep_worker, jobs)
     else:

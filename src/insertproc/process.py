@@ -20,9 +20,13 @@ Randomness contract: all samplers consume a Mersenne Twister stream
 (:class:`random.Random`) seeded with the given integer, and convert each
 64-bit draw ``u`` against integer masses with running totals ``c_i`` and
 total ``T`` into the first index with ``c_i * 2**64 > u * T``.  For
-integers that is ``c_i > (u * T) >> 64``, so one bisection finds it.
+integers that is ``c_i > (u * T) >> 64``, so one bisection finds it; both
+samplers form that target inline from one ``getrandbits(64)`` per draw.
 Identical seeds therefore reproduce identical batches on any platform;
-each probability is realized to within ``2**-64``.
+each probability is realized to within ``2**-64``.  The seed passes the
+size check: a bool, float, negative or ``None`` seed, which the generator
+would hash, take the absolute value of or draw from the system, is
+refused.
 
 An insertion step draws in two stages and lands on the same index as one
 draw over the flat list of all (location, vertex) pairs.  The weight a
@@ -31,6 +35,11 @@ drawn first from the per-gap totals, and the vertex from that gap's own
 running totals, against the same target less the totals of the gaps
 before it.  A flat running total is the gaps-before total plus the
 in-gap one, so both stages pick the first flat index past the target.
+Gap rows are plain tuples that one builder, ``_gap_row``, forms on first
+use into a dict kept for one draw and keyed by the twin classes of the
+flanks, so a step looks its three rows up with no call;
+:func:`insertion_law` reads rows from the same builder, keyed by the
+flanks themselves.
 
 Exact laws are carried on integers.  :func:`insertion_law` keeps an
 integer numerator and denominator per word; shares that reach a word
@@ -46,14 +55,14 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, mul
+from random import Random
+from typing import Mapping, Sequence
 
 from .buildings import Word, BuildOrder, _check_bound, _scaled_buildings
 from .graphs import WeightedGraph, _integer, _size
@@ -174,20 +183,6 @@ def stationarity_check(g: WeightedGraph, n: int) -> tuple[bool, Fraction]:
     return defect == 0, defect
 
 
-def _draw_target(rng: random.Random, total: int) -> int:
-    """Target of a 64-bit uniform draw against integer masses summing to ``total``.
-
-    The drawn index is the first whose running total exceeds the target
-    (see the module docstring).
-    """
-    return (rng.getrandbits(64) * total) >> 64
-
-
-def _draw_index(rng: random.Random, cumulative: Sequence[int], total: int) -> int:
-    """Exact inverse transform of a 64-bit uniform draw against integer masses."""
-    return bisect_right(cumulative, _draw_target(rng, total))
-
-
 def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch:
     """IID draws from the exact marginal, deterministic given the seed.
 
@@ -196,64 +191,45 @@ def sample_exact(g: WeightedGraph, n: int, seed: int, count: int) -> SampleBatch
     """
     count = _size(count, "sample count")
     n = _check_window(g, n)
+    seed = _size(seed, "seed")
     if count == 0:
         return SampleBatch(g, n, seed, ())
     masses = _scaled_masses(g, n)
     words = list(masses)
     cumulative = list(accumulate(masses.values()))
-    rng = random.Random(seed)
-    out = tuple(words[_draw_index(rng, cumulative, cumulative[-1])]
-                for _ in range(count))
+    total = cumulative[-1]
+    getrandbits = Random(seed).getrandbits
+    out = tuple([words[bisect_right(cumulative, (getrandbits(64) * total) >> 64)]
+                 for _ in range(count)])
     return SampleBatch(g, n, seed, out)
 
 
-class _GapRow(NamedTuple):
-    """Insertion weights of one gap: the vertices that fit, in order."""
+def _gap_row(rows: dict, g: WeightedGraph, a: int, b: int) -> tuple:
+    """Build the row of the gap between flanks ``a`` and ``b`` into ``rows``.
 
-    vertices: list[int]
-    weights: list[int]
-    cumulative: list[int]
-    total: int
-
-
-class _GapRows(dict):
-    """Gap rows of one graph, built on first use and keyed by flanks.
-
-    Key ``(a, b)`` is the pair of symbols around the gap, with ``q``
-    standing for an absent flank at an end of the word.  Its row holds the
+    ``q`` stands for an absent flank at an end of the word; the empty
+    word's one gap is ``(q, q)``, which admits every vertex with equal
+    weight.  The row ``(total, vertices, cumulative, weights)`` holds the
     vertices ``v`` with ``l(a, v) * l(v, b) > 0`` and those products,
     scaled by the common denominator squared so that end insertions (one
     edge factor, the absent flank counting ``D``) and interior insertions
-    (two factors) are comparable integers.  The empty word's one gap is
-    ``(q, q)``, which admits every vertex with equal weight.  A word
-    reaches few flank pairs, and all ``(q + 1)**2`` rows would not fit at
-    large ``q``, so no dense table is built.  Twins have equal rows and
-    columns, so flanks share the row of their twin classes.
+    (two factors) are comparable integers, with their running totals and
+    their sum.  The products are formed against the column of ``b`` by
+    ``map``, ``filter`` and ``compress``.  Twins have equal rows and
+    columns, so the sampler passes the twin classes of the flanks and
+    twins share rows.  Each call keeps its own ``rows``: a word reaches
+    few flank pairs, and all ``(q + 1)**2`` rows would not fit at large
+    ``q``.
     """
-
-    def __init__(self, g: WeightedGraph):
-        super().__init__()
-        self.graph = g
-
-    def __missing__(self, key: tuple[int, int]) -> _GapRow:
-        g = self.graph
-        q = g.vertex_count
-        a, b = key
-        twin = g._twin
-        if twin is not None:
-            classes = twin[a] if a < q else q, twin[b] if b < q else q
-            if classes != key:
-                row = self[key] = self[classes]
-                return row
-        lefts = g._num[a] if a < q else repeat(g._den, q)
-        rights = [row[b] for row in g._num] if b < q else repeat(g._den, q)
-        products = list(map(mul, lefts, rights))
-        weights = [w for w in products if w]
-        cumulative = list(accumulate(weights))
-        row = self[key] = _GapRow([v for v, w in enumerate(products) if w],
-                                  weights, cumulative,
-                                  cumulative[-1] if cumulative else 0)
-        return row
+    q, num, den = g.vertex_count, g._num, g._den
+    lefts = num[a] if a < q else repeat(den, q)
+    rights = map(itemgetter(b), num) if b < q else repeat(den, q)
+    products = list(map(mul, lefts, rights))
+    weights = list(filter(None, products))
+    cumulative = list(accumulate(weights))
+    row = rows[a, b] = (cumulative[-1] if weights else 0,
+                        list(compress(range(q), products)), cumulative, weights)
+    return row
 
 
 def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOrder]:
@@ -270,24 +246,29 @@ def sample_insertion(g: WeightedGraph, n: int, seed: int) -> tuple[Word, BuildOr
     total into two.
     """
     n = _size(n, "word length")
-    rng = random.Random(seed)
-    rows = _GapRows(g)
+    seed = _size(seed, "seed")
+    getrandbits = Random(seed).getrandbits
     end = g.vertex_count
+    twin = g._twin or range(end)
+    rows: dict = {}
     word: list[int] = []
     arrival: list[int] = []
-    totals = [rows[end, end].total]
+    totals = [_gap_row(rows, g, end, end)[0]]
     for step in range(n):
         cumulative = list(accumulate(totals, initial=0))
-        if not cumulative[-1]:
+        total = cumulative[-1]
+        if not total:
             raise DeadEndError(
                 f"no insertion has positive weight at length {step}")
-        target = _draw_target(rng, cumulative[-1])
+        target = (getrandbits(64) * total) >> 64
         j = bisect_right(cumulative, target) - 1
-        a = word[j - 1] if j else end
-        b = word[j] if j < step else end
-        row = rows[a, b]
-        v = row.vertices[bisect_right(row.cumulative, target - cumulative[j])]
-        totals[j:j + 1] = rows[a, v].total, rows[v, b].total
+        a = twin[word[j - 1]] if j else end
+        b = twin[word[j]] if j < step else end
+        _, vertices, running, _ = rows[a, b]
+        v = vertices[bisect_right(running, target - cumulative[j])]
+        c = twin[v]
+        totals[j:j + 1] = ((rows.get((a, c)) or _gap_row(rows, g, a, c))[0],
+                           (rows.get((c, b)) or _gap_row(rows, g, c, b))[0])
         word.insert(j, v)
         arrival.insert(j, step)
     order = [0] * n
@@ -310,22 +291,23 @@ def _law_pairs(g: WeightedGraph, n: int) -> dict[Word, tuple[int, int]]:
     """
     n = _size(n, "word length")
     _check_bound(g.vertex_count, n)
-    rows = _GapRows(g)
     end = (g.vertex_count,)
+    rows: dict = {}
     states: dict[Word, tuple[int, int]] = {(): (1, 1)}
     for _ in range(n):
         nxt: dict[Word, tuple[int, int]] = {}
         get = nxt.get
         for word, (num, den) in states.items():
-            gaps = [rows[flanks] for flanks in zip(end + word, word + end)]
-            total = sum(row.total for row in gaps)
+            gaps = [rows.get(flanks) or _gap_row(rows, g, *flanks)
+                    for flanks in zip(end + word, word + end)]
+            total = sum([row[0] for row in gaps])
             if not total:
                 raise DeadEndError(
                     f"no insertion has positive weight from word {word}")
             den *= total
-            for j, row in enumerate(gaps):
+            for j, (_, vertices, _, weights) in enumerate(gaps):
                 left, right = word[:j], word[j:]
-                for v, wgt in zip(row.vertices, row.weights):
+                for v, wgt in zip(vertices, weights):
                     child = left + (v,) + right
                     share = num * wgt
                     got = get(child)

@@ -189,6 +189,7 @@ def sample_sft(s: ShiftOfFiniteType, window: int, seed: int,
     ``K >= 1`` so that the marginals exist.
     """
     window = _size(window, "window length", 1)
+    seed = _size(seed, "seed")
     report = check_lr(s)
     if not report.is_constant:
         raise ValueError(

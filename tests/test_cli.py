@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from insertproc import (check_consistency, check_k_dependence, cli,
                         complete_graph, graph_to_json_dict, kite_graph,
-                        marginal, min_k_search, sample_exact)
+                        marginal, min_k_search, sample_exact,
+                        sample_insertion)
 from insertproc.cli import main
 from insertproc.fixtures import fixture_names, fixture_text
 
@@ -56,6 +58,16 @@ def test_the_verifiers_import_no_numpy():
             "assert insertproc.check_consistency(g, 4).verified\n"
             "assert insertproc.check_k_dependence(g, 1, 3, 3).verified\n"
             "print('numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def test_the_cli_imports_no_multiprocessing():
+    # only verify_identities with more than one thread starts a pool, so
+    # every other command is spared the import
+    code = "import sys, insertproc.cli\nprint('multiprocessing' in sys.modules)\n"
     done = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60)
@@ -284,6 +296,16 @@ _BOUND_CASES = [
      lambda g: sample_exact(g, 3, 0, -1), True),
     (["sample", "--graph", "K4", "--window", "3", "--count", "0"],
      lambda g: sample_exact(g, 3, 0, 0), False),
+    (["sample", "--graph", "K4", "--window", "3", "--seed", "-1"],
+     lambda g: sample_exact(g, 3, -1, 5), True),
+    (["sample", "--graph", "K4", "--window", "3", "--seed", "0"],
+     lambda g: sample_exact(g, 3, 0, 5), False),
+    (["sample", "--graph", "K4", "--window", "3", "--seed", "-1",
+      "--method", "insertion"],
+     lambda g: sample_insertion(g, 3, -1), True),
+    (["sample", "--graph", "K4", "--window", "3", "--seed", "0",
+      "--method", "insertion"],
+     lambda g: sample_insertion(g, 3, 0), False),
     (["verify-identities", "--max-n", "8"],
      lambda g: cli.verify_identities(max_len=8), True),
     (["verify-identities", "--max-n", "3", "--threads", "0"],
@@ -369,7 +391,8 @@ def test_verify_identities_pool_size(monkeypatch):
         def map(self, fn, jobs):
             return [fn(job) for job in jobs]
 
-    monkeypatch.setattr(cli, "Pool", FakePool)
+    # verify_identities imports Pool from multiprocessing when it needs one
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     report = cli.verify_identities(max_len=2, threads=10 ** 6)
     assert report["all_passed"]
     assert sizes == [8]

@@ -550,7 +550,9 @@ _SIZES = [
     ("stationarity_check", lambda n: stationarity_check(K3, n), 1, 2),
     ("sample_exact window", lambda n: sample_exact(K3, n, 0, 5), 1, 3),
     ("sample_exact count", lambda n: sample_exact(K3, 3, 0, n), 0, 5),
+    ("sample_exact seed", lambda n: sample_exact(K3, 3, n, 5), 0, 3),
     ("sample_insertion", lambda n: sample_insertion(K3, n, 0), 0, 4),
+    ("sample_insertion seed", lambda n: sample_insertion(K3, 6, n), 0, 3),
     ("insertion_law", lambda n: insertion_law(K3, n), 0, 3),
     ("insertion_marginal_gap", lambda n: insertion_marginal_gap(K3, n), 1, 3),
     ("empirical_gap_independence",
@@ -564,10 +566,14 @@ _SIZES = [
      lambda n: sample_sft(proper_coloring_windows(3), n, 0, 4), 1, 3),
     ("sample_sft count",
      lambda n: sample_sft(proper_coloring_windows(3), 3, 0, n), 0, 4),
+    ("sample_sft seed",
+     lambda n: sample_sft(proper_coloring_windows(3), 3, n, 4), 0, 3),
     ("reduced_count_symbolic", lambda n: reduced_count_symbolic(n), 2, 3),
     ("verify_identities max_len", lambda n: verify_identities(max_len=n), 2, 3),
     ("verify_identities threads",
      lambda n: verify_identities(max_len=2, threads=n), 1, 1),
+    ("verify_identities seed",
+     lambda n: verify_identities(max_len=2, seed=n), 0, 3),
 ]
 
 

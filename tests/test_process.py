@@ -23,7 +23,7 @@ from insertproc import (DeadEndError, WeightedGraph, building_count,
                         stationarity_check)
 from insertproc import process
 from insertproc.fixtures import GRAPH_FIXTURES, load_graph_fixture
-from insertproc.process import _GapRows, _chi2_sf, _draw_index
+from insertproc.process import _chi2_sf, _gap_row
 
 
 def test_marginal_k3_values():
@@ -211,7 +211,7 @@ def test_insertion_step_normalizer_complete_graphs():
     # current length: ends offer 2(q-1), each interior slot q-2
     for q in range(2, 7):
         g = complete_graph(q)
-        rows = _GapRows(g)
+        rows = {}
         rng = random.Random(q)
         for i in range(1, 9):
             word = [rng.randrange(q)]
@@ -220,12 +220,14 @@ def test_insertion_step_normalizer_complete_graphs():
                 if v != word[-1]:
                     word.append(v)
             flanks = zip([q] + word, word + [q])
-            assert sum(rows[f].total for f in flanks) == 2 * (q - 1) + (i - 1) * (q - 2)
+            totals = [(rows.get(f) or _gap_row(rows, g, *f))[0] for f in flanks]
+            assert sum(totals) == 2 * (q - 1) + (i - 1) * (q - 2)
 
 
 def test_gap_rows_are_shared_by_twin_classes():
-    # every pair of flanks, the end sentinel q included, reads the row of
-    # its own flanks; twins share one row per pair of twin classes
+    # every pair of flanks, the end sentinel q included, read through its
+    # twin classes as the samplers read it, holds the row of its own
+    # flanks; twins share one row per pair of twin classes
     rng = random.Random(4)
     rows = [[Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(3)]
             for _ in range(3)]
@@ -235,16 +237,20 @@ def test_gap_rows_are_shared_by_twin_classes():
     for g in (multipartite_graph(3, 2), multipartite_graph(4, 2),
               WeightedGraph(rows), complete_graph(4)):
         q, num, den = g.vertex_count, g._num, g._den
-        gap_rows = _GapRows(g)
+        twin = (g._twin or tuple(range(q))) + (q,)
+        gap_rows = {}
         for a, b in product(range(q + 1), repeat=2):
             weights = [(num[a][v] if a < q else den)
                        * (num[v][b] if b < q else den) for v in range(q)]
-            row = gap_rows[a, b]
-            assert row.vertices == [v for v in range(q) if weights[v]]
-            assert row.weights == [w for w in weights if w]
-            assert row.cumulative == list(accumulate(row.weights))
-        classes = len(set(g._twin or range(q))) + 1
-        assert len({id(row) for row in gap_rows.values()}) == classes ** 2
+            key = twin[a], twin[b]
+            total, vertices, cumulative, row_weights = (
+                gap_rows.get(key) or _gap_row(gap_rows, g, *key))
+            assert vertices == [v for v in range(q) if weights[v]]
+            assert row_weights == [w for w in weights if w]
+            assert cumulative == list(accumulate(row_weights))
+            assert total == sum(weights)
+        classes = len(set(twin))
+        assert len(gap_rows) == classes ** 2
 
 
 class _FixedBits:
@@ -271,23 +277,29 @@ def _binary_search_index(u, cumulative, total):
     return lo
 
 
-def test_draw_index_matches_the_binary_search():
+def test_draw_index_matches_the_binary_search(monkeypatch):
+    # sample_exact's inline draw lands where the binary search does: the
+    # masses and the 64-bit draw are planted in place of the walk and the
+    # generator, one word per mass
     rng = random.Random(5)
     wide = 0
     for trial in range(400):
         size = rng.randint(1, 40)
         bits = rng.choice((1, 8, 64, 70, 130))
-        cumulative = list(accumulate(rng.randrange(2 ** bits) + 1
-                                     for _ in range(size)))
+        masses = [rng.randrange(2 ** bits) + 1 for _ in range(size)]
+        cumulative = list(accumulate(masses))
         total = cumulative[-1]
         wide += total > 2 ** 64
         us = [0, 2 ** 64 - 1, rng.getrandbits(64)]
         # the least draw that passes a chosen running total
         c = rng.choice(cumulative)
         us.append(-(-(c << 64) // total) if c < total else 2 ** 64 - 1)
+        table = {(i,): m for i, m in enumerate(masses)}
+        monkeypatch.setattr(process, "_scaled_masses", lambda g, n: table)
         for u in us:
-            assert (_draw_index(_FixedBits(u), cumulative, total)
-                    == _binary_search_index(u, cumulative, total)), (trial, u)
+            monkeypatch.setattr(process, "Random", lambda seed: _FixedBits(u))
+            assert (sample_exact(complete_graph(2), 1, 0, 1).words
+                    == ((_binary_search_index(u, cumulative, total),),)), (trial, u)
     assert wide > 100
 
 
@@ -357,6 +369,48 @@ def test_sample_insertion_stream_is_pinned():
          2, 0, 1, 3, 1, 2, 1),
         (26, 23, 11, 27, 7, 25, 28, 9, 5, 12, 8, 18, 4, 13, 29, 24, 20, 1, 22,
          0, 6, 19, 3, 10, 14, 15, 16, 21, 2, 17))
+
+
+# (graph, seed): the window-80 word and its build order, drawn before the
+# gap rows became plain tuples; K222 and K2222 read rows shared by twin
+# classes, and the looped table (vertex 3 a twin of vertex 1) weighted
+# rows with loops and zeros
+_LOOPED = WeightedGraph([[1, 2, 0, 2], [Fraction(1, 2), 1, 3, 1],
+                         [2, 0, Fraction(3, 2), 0], [Fraction(1, 2), 1, 3, 1]])
+PINNED_STREAMS = {
+    "k222": (multipartite_graph(3, 2), 5,
+             "20154353121310201243135342105351315024202104215020215054535432"
+             "312120120432124502",
+             (45, 29, 47, 59, 54, 51, 64, 62, 34, 14, 20, 39, 70, 44, 4, 25, 57,
+              41, 19, 65, 37, 61, 3, 53, 42, 5, 71, 1, 60, 73, 8, 6, 23, 13, 69,
+              52, 9, 74, 12, 79, 31, 0, 32, 78, 16, 22, 67, 48, 49, 58, 2, 26,
+              21, 55, 11, 38, 10, 15, 75, 76, 24, 28, 43, 30, 27, 68, 33, 56, 50,
+              77, 7, 17, 66, 35, 40, 72, 18, 36, 46, 63)),
+    "k2222": (multipartite_graph(4, 2), 6,
+              "02542346521032305360216035410364707142506716305027241602356360"
+              "710135465725350707",
+              (36, 21, 59, 11, 8, 30, 70, 64, 18, 0, 24, 9, 69, 76, 35, 4, 31,
+               43, 63, 52, 41, 2, 26, 77, 22, 25, 16, 49, 61, 54, 62, 3, 1, 72,
+               66, 74, 32, 67, 10, 45, 78, 73, 38, 75, 57, 19, 33, 27, 5, 37, 58,
+               13, 50, 20, 60, 28, 17, 46, 68, 71, 40, 14, 12, 53, 44, 56, 51,
+               29, 42, 23, 55, 39, 15, 47, 79, 7, 34, 65, 6, 48)),
+    "looped": (_LOOPED, 7,
+               "31332222222222222220300012222222033031122222222200030100001331"
+               "332201331312220011",
+               (71, 34, 21, 73, 17, 69, 77, 18, 12, 24, 19, 38, 11, 54, 79, 70,
+                68, 0, 62, 1, 14, 56, 10, 32, 39, 52, 50, 59, 9, 45, 13, 8, 61,
+                47, 53, 44, 48, 63, 42, 74, 33, 20, 16, 66, 2, 22, 41, 27, 36,
+                51, 6, 43, 15, 26, 76, 35, 78, 3, 46, 64, 67, 28, 29, 40, 65, 5,
+                7, 23, 57, 4, 60, 25, 49, 55, 37, 58, 72, 30, 75, 31)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_sample_insertion_window_80_streams_are_pinned(name):
+    g, seed, word, order = PINNED_STREAMS[name]
+    assert _LOOPED._twin == (0, 1, 2, 1)
+    got_word, got_order = sample_insertion(g, 80, seed)
+    assert ("".join(map(str, got_word)), got_order) == (word, order)
 
 
 def test_sample_insertion_builds_no_dense_flank_table():

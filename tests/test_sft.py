@@ -147,6 +147,15 @@ def test_sample_sft_coloring():
     assert words == sample_sft(s, 5, 3, 100)
 
 
+def test_sample_sft_batch_is_pinned():
+    # drawn before the exact sampler's draw was inlined
+    words = sample_sft(proper_coloring_windows(3), 5, 11, 20)
+    assert ["".join(map(str, w)) for w in words] == [
+        "210121", "210120", "202020", "102021", "210120", "020120", "202102",
+        "102102", "121020", "020102", "102020", "012102", "120121", "210202",
+        "121201", "121012", "101210", "102021", "201210", "121210"]
+
+
 def test_sample_sft_alternating():
     s = proper_coloring_windows(2)
     words = sample_sft(s, 4, 0, 50)
