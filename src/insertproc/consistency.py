@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Optional
 
 from .buildings import (Word, reduced_count, _check_bound, _least_words,
@@ -158,26 +158,27 @@ def check_consistency(g: WeightedGraph, max_len: int) -> ConsistencyReport:
     return ConsistencyReport(max_len, constants, None, None)
 
 
+def _scaled_power_sum(num: tuple[tuple[int, ...], ...], i: int, j: int,
+                      n: int) -> int:
+    """:func:`pair_power_sum` scaled by ``D^n``, over the integer table."""
+    a, b = (n + 1) // 2, n // 2
+    return sum(x ** a * y ** b for x, y in zip(num[i], num[j]))
+
+
 def pair_power_sum(g: WeightedGraph, i: int, j: int, n: int) -> Fraction:
     """Common-neighborhood power sum ``sum_v w(i,v)^ceil(n/2) w(j,v)^floor(n/2)``.
 
     Uses the convention ``0^0 = 1``, so for odd exponent splits the factor
-    with exponent 0 never suppresses a term.
+    with exponent 0 never suppresses a term; Python's ``0 ** 0 == 1``
+    gives it.  The sum runs over the integer table, whose entries are the
+    weights times the common denominator ``D``, and is divided by ``D^n``
+    once.
     """
     i, j = g._vertex(i), g._vertex(j)
     if i == j:
         raise ValueError("the two vertices must be distinct")
     n = _size(n, "exponent index", 1)
-    a = (n + 1) // 2
-    b = n // 2
-    total = Fraction(0)
-    for v in range(g.vertex_count):
-        wa = g.weight(i, v) ** a if a else Fraction(1)
-        if wa == 0:
-            continue
-        wb = g.weight(j, v) ** b if b else Fraction(1)
-        total += wa * wb
-    return total
+    return Fraction(_scaled_power_sum(g._num, i, j, n), g._den ** n)
 
 
 def check_pair_power_invariance(
@@ -188,27 +189,31 @@ def check_pair_power_invariance(
     Requires a loopless graph with every off-diagonal weight positive.
     Returns ``(True, None)`` when for each ``n <= max_n`` the sum is the
     same over all ordered pairs of distinct vertices, else ``(False,
-    (n, reference_pair, offending_pair, reference_value, value))``.
+    (n, reference_pair, offending_pair, reference_value, value))``.  All
+    sums of one ``n`` share the scale ``D^n``, so they are compared as
+    integers and only the witness's two values become ``Fraction``s.
     """
     max_n = _size(max_n, "window bound", 1)
     if not g.is_loopless():
         raise ValueError("pair power sums require a loopless graph")
+    num = g._num
+    # each row's one zero is its diagonal
+    if any(row.count(0) > 1 for row in num):
+        raise ValueError("pair power sums require positive off-diagonal weights")
     n_v = g.vertex_count
-    for i in range(n_v):
-        for j in range(n_v):
-            if i != j and g.weight(i, j) == 0:
-                raise ValueError("pair power sums require positive off-diagonal weights")
     if n_v < 2:
         raise ValueError("need at least two vertices")
     for n in range(1, max_n + 1):
-        ref = pair_power_sum(g, 0, 1, n)
+        ref = _scaled_power_sum(num, 0, 1, n)
         for i in range(n_v):
             for j in range(n_v):
                 if i == j or (i, j) == (0, 1):
                     continue
-                val = pair_power_sum(g, i, j, n)
+                val = _scaled_power_sum(num, i, j, n)
                 if val != ref:
-                    return False, (n, (0, 1), (i, j), ref, val)
+                    scale = g._den ** n
+                    return False, (n, (0, 1), (i, j), Fraction(ref, scale),
+                                   Fraction(val, scale))
     return True, None
 
 
@@ -251,30 +256,28 @@ def kite_obstruction(g: WeightedGraph, kite: tuple[int, int, int, int]
 
         ``lhs = sum_v [R(b a b v) - R(d a b v)] w(b, v)``
 
-    Under consistency this must equal ``c_3 [R(b a b) - R(d a b)]``, whose
-    bracket vanishes because ``w(b, b) = w(d, b) = 0``; but the ``v = c``
-    term alone contributes ``2 w^3 > 0``.  Returns ``(lhs, rhs)`` with
-    ``rhs`` computed from the verified window-3 constant when one exists
-    and as 0 otherwise; ``lhs > rhs`` certifies the inconsistency.
+    Under consistency this must equal ``c_3 [R(b a b) - R(d a b)]``.  A
+    word of length three has ``R(x y z) = 4 + 2 w(x, z)``, and the kite
+    has ``w(b, b) = 0`` (a uniform graph is loopless) and ``w(d, b) = 0``
+    (``d`` is a pendant), so the bracket is zero and so is the right side,
+    whatever ``c_3`` is; but the ``v = c`` term of ``lhs`` alone
+    contributes ``2 w^3 > 0``.  Returns ``(lhs, rhs)`` with ``rhs`` the
+    bracket, computed from the reduced counts; ``lhs > rhs`` certifies the
+    inconsistency.  Both sides are summed over the integer table, from the
+    prefix rows of ``b a b`` and ``d a b``.
     """
-    report = uniform_weight(g)
-    if not report.is_uniform:
+    if not uniform_weight(g).is_uniform:
         raise ValueError("kite obstruction applies to uniform-weight graphs")
     a, b, c, d = map(g._vertex, kite)
     if len({a, b, c, d}) != 4:
         raise ValueError("kite must consist of four distinct vertices")
-    if not (g.weight(a, b) > 0 and g.weight(b, c) > 0 and g.weight(a, c) > 0):
+    num, den = g._num, g._den
+    if not (num[a][b] and num[b][c] and num[a][c]):
         raise ValueError(f"vertices {a}, {b}, {c} do not form a triangle")
-    if not (g.weight(d, a) > 0 and g.weight(d, b) == 0 and g.weight(d, c) == 0):
+    if not (num[d][a] and not num[d][b] and not num[d][c]):
         raise ValueError(f"vertex {d} is not a pendant attached to {a} only")
-    lhs = Fraction(0)
-    for v in range(g.vertex_count):
-        wbv = g.weight(b, v)
-        if wbv == 0:
-            continue
-        lhs += (reduced_count(g, (b, a, b, v))
-                - reduced_count(g, (d, a, b, v))) * wbv
-    bracket = reduced_count(g, (b, a, b)) - reduced_count(g, (d, a, b))
-    window = check_consistency(g, 4)
-    c3 = window.constants.get(3, Fraction(0)) if window.verified else Fraction(0)
-    return lhs, c3 * bracket
+    # a row entry is R(u v) D^3 and a link w(b, v) D, so lhs is scaled by D^4
+    lhs = sum(map(mul, num[b], map(sub, _prefix_row(g, (b, a, b)),
+                                   _prefix_row(g, (d, a, b)))))
+    bracket = _scaled_reduced(g, (b, a, b)) - _scaled_reduced(g, (d, a, b))
+    return Fraction(lhs, den ** 4), Fraction(bracket, den ** 2)

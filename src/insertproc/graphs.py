@@ -97,6 +97,18 @@ def _as_weight(value: WeightLike) -> Union[int, Fraction]:
     return w
 
 
+def _check_table(vertex_count: int) -> None:
+    """Refuse a dense table of ``vertex_count**2`` entries past the bound.
+
+    A sparse document of a few bytes, or a constructor's size argument,
+    may name any vertex count, so the table is bounded before it is
+    allocated.
+    """
+    if vertex_count ** 2 > _ENUMERATION_BOUND:
+        raise ValueError(f"weight table bound exceeded: {vertex_count}**2 > "
+                         f"{_ENUMERATION_BOUND}")
+
+
 def _twin_classes(num: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
     """Map each vertex to the least vertex with its row and column, or ``None``.
 
@@ -175,11 +187,7 @@ class WeightedGraph:
         the constructor.
         """
         vertex_count = _size(vertex_count, "vertex count", 1)
-        # a sparse document of a few bytes may name any vertex count, so the
-        # dense table is bounded before it is allocated
-        if vertex_count ** 2 > _ENUMERATION_BOUND:
-            raise ValueError(f"weight table bound exceeded: {vertex_count}**2 > "
-                             f"{_ENUMERATION_BOUND}")
+        _check_table(vertex_count)
         rows: list[list[WeightLike]] = [[0] * vertex_count
                                         for _ in range(vertex_count)]
         items = weights.items() if isinstance(weights, Mapping) else (
@@ -258,6 +266,7 @@ def complete_graph(q: int, w: WeightLike = 1) -> WeightedGraph:
     wf = _as_weight(w)
     if wf <= 0:
         raise ValueError("edge weight must be positive")
+    _check_table(q)
     return WeightedGraph([[wf if i != j else Fraction(0) for j in range(q)]
                           for i in range(q)])
 
@@ -273,6 +282,7 @@ def multipartite_graph(q: int, r: int, w: WeightLike = 1) -> WeightedGraph:
     if wf <= 0:
         raise ValueError("edge weight must be positive")
     n = q * r
+    _check_table(n)
     return WeightedGraph([[wf if i % q != j % q else Fraction(0)
                            for j in range(n)] for i in range(n)])
 
@@ -322,33 +332,29 @@ class UniformWeightReport:
 
 
 def uniform_weight(g: WeightedGraph) -> UniformWeightReport:
-    """Check whether all weights lie in ``{0, w}`` for one positive ``w``."""
-    n = g.vertex_count
-    violations: list[tuple[tuple[int, int], Fraction]] = []
-    for i in range(n):
-        if g.weight(i, i) != 0:
-            violations.append(((i, i), g.weight(i, i)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.weight(i, j) != g.weight(j, i):
-                violations.append(((i, j), g.weight(i, j)))
-                violations.append(((j, i), g.weight(j, i)))
-    w: Optional[Fraction] = None
-    for i, j, wij in g.positive_edges():
-        if i == j:
-            continue
-        w = wij
-        break
-    if w is not None:
-        for i, j, wij in g.positive_edges():
-            if i != j and wij != w:
-                violations.append(((i, j), wij))
-    if w is None:
-        # all weights zero: no positive uniform value exists
-        return UniformWeightReport(False, None, tuple(violations))
-    if violations:
-        return UniformWeightReport(False, None, tuple(violations))
-    return UniformWeightReport(True, w, ())
+    """Check whether all weights lie in ``{0, w}`` for one positive ``w``.
+
+    The scan compares the integer table; a ``Fraction`` is built only for
+    the reported ``w`` and the violations.  These list the nonzero
+    diagonal entries, then both entries of each asymmetric pair, then
+    every positive off-diagonal entry that differs from the first one in
+    row-major order, which is ``w`` when nothing is violated.
+    """
+    n, num, out = g.vertex_count, g._num, g._out
+    bad = [(i, i) for i in range(n) if num[i][i]]
+    for i, (row, col) in enumerate(zip(num, zip(*num))):
+        if row != col:
+            for j in range(i + 1, n):
+                if row[j] != col[j]:
+                    bad += (i, j), (j, i)
+    w = next((num[i][j] for i in range(n) for j in out[i] if j != i), 0)
+    bad += [(i, j) for i in range(n) for j in out[i]
+            if j != i and num[i][j] != w]
+    if bad or not w:
+        # w is 0 when no off-diagonal weight is positive: no uniform value
+        return UniformWeightReport(False, None, tuple(
+            ((i, j), Fraction(num[i][j], g._den)) for i, j in bad))
+    return UniformWeightReport(True, Fraction(w, g._den), ())
 
 
 def has_directed_triangle(g: WeightedGraph) -> Optional[tuple[int, int, int]]:

@@ -14,7 +14,8 @@ from insertproc import (check_consistency, check_k_dependence, cli,
                         marginal, min_k_search, sample_exact,
                         sample_insertion)
 from insertproc.cli import main
-from insertproc.fixtures import fixture_names, fixture_text
+from insertproc.fixtures import (fixture_names, fixture_text,
+                                 load_graph_fixture, load_sft_fixture)
 
 
 @pytest.fixture()
@@ -81,6 +82,15 @@ def test_fixture_registry_complete():
         assert expected in names
     with pytest.raises(KeyError):
         fixture_text("nope")
+
+
+def test_loaders_refuse_the_other_kind_of_fixture():
+    with pytest.raises(KeyError, match="unknown graph fixture 'coloring3'"):
+        load_graph_fixture("coloring3")
+    with pytest.raises(KeyError, match="unknown shift fixture 'k3'"):
+        load_sft_fixture("k3")
+    assert load_graph_fixture("k3").vertex_count == 3
+    assert load_sft_fixture("coloring3").q == 3
 
 
 def test_check_c_verified(fixture_dir, capsys):
@@ -420,6 +430,24 @@ def test_analyze_path_graph(fixture_dir, capsys):
     report = json.loads(out)
     assert report["regular_out_degree"] is None
     assert report["directed_triangle"] is None
+
+
+def test_analyze_directed_cycle(tmp_path, capsys):
+    # the structure of a symmetric loopless graph is not reported
+    path = tmp_path / "cycle3.json"
+    path.write_text(json.dumps({"vertices": 3, "weights": [
+        [0, 1, "1"], [1, 2, "1"], [2, 0, "1"]]}))
+    code, out = run_cli(["analyze", "--graph", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["symmetric"] is False and report["loopless"] is True
+    assert report["uniform_weight"]["is_uniform"] is False
+    assert report["uniform_weight"]["violations"] == [
+        [[0, 1], "1"], [[1, 0], "0"], [[0, 2], "0"], [[2, 0], "1"],
+        [[1, 2], "1"], [[2, 1], "0"]]
+    assert report["strongly_connected"] is True
+    assert (report["triangles_per_edge"], report["kite"],
+            report["complete_multipartite"]) == (None, None, None)
 
 
 def test_report_determinism(fixture_dir, tmp_path, capsys):

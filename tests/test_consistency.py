@@ -272,6 +272,44 @@ def test_kite_obstruction_validation():
         kite_obstruction(complete_graph(4, 2), (0, 1, 2, 3))
 
 
+def test_kite_obstruction_past_the_enumeration_bound():
+    # the kite plus 56 isolated vertices: a window-4 sweep would exceed
+    # the bound at 60**4 words, and the right side needs none
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3)]
+    g = WeightedGraph.from_weights(
+        60, {pair: 1 for i, j in edges for pair in ((i, j), (j, i))})
+    assert kite_obstruction(g, (0, 1, 2, 3)) == (2, 0)
+
+
+_KITE_WEIGHTS = {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1, (1, 2): 1,
+                 (2, 1): 1, (0, 3): 1, (3, 0): 2}
+
+
+@pytest.mark.parametrize("g, kite, message", [
+    (WeightedGraph.from_weights(4, _KITE_WEIGHTS), (0, 1, 2, 3),
+     "uniform-weight graphs"),
+    (kite_graph(), (0, 1, 1, 3), "four distinct vertices"),
+    (path_graph(4), (1, 0, 2, 3), "do not form a triangle"),
+    (complete_graph(4), (0, 1, 2, 3), "vertex 3 is not a pendant"),
+], ids=["not uniform", "repeated vertex", "no triangle", "not a pendant"])
+def test_kite_obstruction_refusals(g, kite, message):
+    with pytest.raises(ValueError, match=message):
+        kite_obstruction(g, kite)
+    assert kite_obstruction(kite_graph(), (0, 1, 2, 3)) == (2, 0)
+
+
+def test_pair_power_invariance_needs_two_vertices():
+    with pytest.raises(ValueError, match="at least two vertices"):
+        check_pair_power_invariance(WeightedGraph([[0]]), 2)
+    assert check_pair_power_invariance(complete_graph(2), 2) == (True, None)
+
+
+def test_uniform_defect_refuses_a_zero_weight():
+    with pytest.raises(ValueError, match="uniform weight must be positive"):
+        uniform_defect(3, 0)
+    assert uniform_defect(3, 1) == 0
+
+
 def test_uniform_weight_degree_relations():
     # on uniform-weight consistent fixtures: c_1 = 2 w d and the triangle
     # count per edge is (c_2 - c_1) / w^2

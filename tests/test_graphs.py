@@ -99,6 +99,26 @@ def test_negative_weight_rejected():
         WeightedGraph([[0, -1], [1, 0]])
 
 
+@pytest.mark.parametrize("rows, neighbour, message", [
+    ([], [[0]], "at least one vertex"),
+    ([[0, 1]], [[0, 1], [1, 0]], "must be square"),
+    ([["x"]], [["1/2"]], "invalid weight 'x'"),
+])
+def test_table_refusals(rows, neighbour, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(rows)
+    assert WeightedGraph(neighbour).vertex_count == len(neighbour)
+
+
+@pytest.mark.parametrize("build", [lambda w: complete_graph(3, w),
+                                   lambda w: multipartite_graph(2, 2, w)],
+                         ids=["complete_graph", "multipartite_graph"])
+def test_constructors_refuse_a_zero_weight(build):
+    with pytest.raises(ValueError, match="edge weight must be positive"):
+        build(0)
+    assert uniform_weight(build("1/2")).w == Fraction(1, 2)
+
+
 def test_uniform_weight_complete():
     report = uniform_weight(complete_graph(3))
     assert report.is_uniform
@@ -268,6 +288,16 @@ def test_block_projection_rejects_non_integer_symbols():
     assert block_projection(g, cls, [np.int64(1), 2]) == (1, 0)
 
 
+def test_block_projection_refusals():
+    with pytest.raises(ValueError, match="not describe a complete multipartite"):
+        block_projection(path_graph(4), classify_multipartite(path_graph(4)), (0,))
+    # vertex 3 of K4 has no part in the classification of K3
+    k3 = classify_multipartite(complete_graph(3))
+    with pytest.raises(ValueError, match="symbol 3 outside the vertex set"):
+        block_projection(complete_graph(4), k3, (0, 3))
+    assert block_projection(complete_graph(4), k3, (0, 2)) == (0, 2)
+
+
 @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 4), (2, 6)])
 def test_block_projection_preserves_weights(q, r):
     g = multipartite_graph(q, r, Fraction(3, 4))
@@ -421,6 +451,26 @@ def test_vertex_count_bound_refuses_before_allocating():
         WeightedGraph.from_weights(3163, {})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: complete_graph(3163),
+    lambda: multipartite_graph(3163, 1),
+    lambda: multipartite_graph(1, 3163),
+    lambda: uniform_defect(3163, 1),
+], ids=["complete_graph", "multipartite_graph parts", "multipartite_graph size",
+        "uniform_defect"])
+def test_dense_constructors_refuse_before_allocating(build):
+    # the least refused vertex count, whose table would take hundreds of MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match="table bound exceeded: 3163\\*\\*2 > 10000000"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16, peak
+
+
 def test_sparse_document_builds_no_fraction_per_cell():
     # the zeros that from_weights fills in are plain ints and stay ints;
     # a Fraction in every cell of this table would peak at about 72 MB
@@ -468,6 +518,18 @@ def test_json_errors():
 def test_json_rejects_bools(doc, message):
     with pytest.raises(ValueError, match=message):
         graph_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([[0, 1, "1"]], "must be a JSON object"),
+    ({"vertices": 2, "weights": {"0": [1, "1"]}}, "'weights' must be a list"),
+    ({"vertices": 2, "weights": [[0, 1]]}, "is not an \\[i, j, weight\\] triple"),
+])
+def test_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_json_dict(doc)
+    assert graph_from_json_dict({"vertices": 2, "weights": [[0, 1, "1"]]}) \
+        == WeightedGraph([[0, 1], [0, 0]])
 
 
 @pytest.mark.parametrize("weights", [

@@ -240,6 +240,40 @@ def test_validation_rejects_bools(q, n, window, message):
         ShiftOfFiniteType(q, n, frozenset([window]))
 
 
+def test_empty_window_set_refused():
+    # from_windows refuses an empty list before it reads a window length
+    with pytest.raises(ValueError, match="must be nonempty"):
+        ShiftOfFiniteType(2, 2, [])
+    assert ShiftOfFiniteType(2, 2, [(0, 1)]).allowed == {(0, 1)}
+
+
+def test_project_refuses_a_mismatched_length():
+    with pytest.raises(ValueError, match="position 1 has mismatched length"):
+        project([(0, 1), (1,)])
+    assert project([(0, 1), (1, 0)]) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([[0, 1]], "must be a JSON object"),
+    ({"q": 2, "n": 2, "allowed": "01"}, "must be a list of windows"),
+])
+def test_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message):
+        sft_from_json_dict(doc)
+    assert sft_from_json_dict({"q": 2, "n": 2, "allowed": [[0, 1]]}) \
+        == ShiftOfFiniteType(2, 2, [(0, 1)])
+
+
+def test_sample_sft_refuses_k_zero():
+    # the one window (0, 1) extends on neither side: K = 0, so only
+    # window 1 has paths
+    s = ShiftOfFiniteType(2, 2, [(0, 1)])
+    assert check_lr(s).K == 0
+    with pytest.raises(ValueError, match="K = 0"):
+        sample_sft(s, 2, 0, 3)
+    assert sample_sft(s, 1, 0, 3) == ((0, 1),) * 3
+
+
 def test_numpy_symbols_are_stored_as_ints():
     s = ShiftOfFiniteType(2, 2, [(np.int64(0), 1), (1, np.int32(0))])
     assert s == ShiftOfFiniteType(2, 2, [(0, 1), (1, 0)])
